@@ -17,12 +17,17 @@
 //! fast never slower than legacy) and then re-measures the fast-vs-reference
 //! ratio live with a cruder timer and a wider margin.
 //!
+//! The distributed-LCF kernel check is a committed ratio too: the
+//! `kernel_scalar` and `kernel_bitset` entries for `lcf_dist` at n = 16
+//! come from one criterion run, and the word kernel must stay at least
+//! [`DIST_KERNEL_RATIO`] times faster than the scalar reference.
+//!
 //! ```text
 //! cargo run --release -p lcf-bench --bin bench_guard
 //! ```
 //!
 //! Exits non-zero iff any measured median exceeds `TOLERANCE x` baseline or
-//! any `sim_heavy` ratio check fails.
+//! any `sim_heavy` or kernel ratio check fails.
 
 #![forbid(unsafe_code)]
 
@@ -83,6 +88,7 @@ fn main() {
     }
 
     failures += check_sim_heavy(&baseline);
+    failures += check_dist_kernel(&baseline);
 
     if failures > 0 {
         eprintln!("bench_guard: {failures} check(s) failed");
@@ -158,6 +164,36 @@ fn check_sim_heavy(baseline: &str) -> usize {
          {live_fast:8.1} ns/slot  ratio {live_ratio:.2}x (floor {HEAVY_RATIO_LIVE}x)  {verdict}"
     );
     failures
+}
+
+/// Committed scalar-vs-bitset speedup floor for distributed LCF at n = 16.
+/// Both entries come from the same criterion run, so the ratio is a
+/// property of the code, not of the machine that recorded it.
+const DIST_KERNEL_RATIO: f64 = 3.0;
+
+/// The distributed-LCF word-kernel guard: the committed `kernel_scalar`
+/// over `kernel_bitset` median for `lcf_dist` at n = 16.
+fn check_dist_kernel(baseline: &str) -> usize {
+    let id = |backend: &str| format!("kernel_{backend}/lcf_dist/16");
+    let (Some(scalar_ns), Some(bitset_ns)) = (
+        ns_median_for(baseline, &id("scalar")),
+        ns_median_for(baseline, &id("bitset")),
+    ) else {
+        eprintln!(
+            "bench_guard: baseline entries `{}`/`{}` not found in BENCH_schedulers.json",
+            id("scalar"),
+            id("bitset")
+        );
+        return 1;
+    };
+    let ratio = scalar_ns / bitset_ns;
+    let ok = ratio >= DIST_KERNEL_RATIO;
+    println!(
+        "bench_guard: lcf_dist n=16 committed bitset speedup {ratio:.2}x over scalar \
+         (floor {DIST_KERNEL_RATIO}x)  {}",
+        if ok { "ok" } else { "FAIL" }
+    );
+    usize::from(!ok)
 }
 
 /// Median ns per slot of the heavy-traffic loop (`lcf_central`, n = 32,

@@ -7,8 +7,7 @@
 
 use crate::arbiter::RoundRobinPointer;
 use crate::bitkern::{self, Backend};
-#[cfg(feature = "telemetry")]
-use crate::lcf::IterationTrace;
+use crate::iterative::{IterEngine, IterRule, IterationTrace};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::traits::Scheduler;
@@ -43,20 +42,36 @@ pub struct Islip {
     backend: Backend,
     grant_ptr: Vec<RoundRobinPointer>,
     accept_ptr: Vec<RoundRobinPointer>,
-    // Scratch, reused across slots.
+    // Scalar-kernel scratch, reused across slots.
     grant_of_target: Vec<Option<usize>>,
-    // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // masks plus three single-mask scratch buffers.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
-    grant_mask: Vec<u64>,
-    unmatched_in: Vec<u64>,
-    unmatched_out: Vec<u64>,
-    cand: Vec<u64>,
-    #[cfg(feature = "telemetry")]
-    tracing: bool,
-    #[cfg(feature = "telemetry")]
-    trace: IterationTrace,
+    engine: IterEngine,
+}
+
+/// iSLIP's selection rule on the word kernel: a word-walk
+/// [`bitkern::rotating_first`] from each port's pointer. Pointers move only
+/// on first-iteration accepts.
+struct Pointers<'a> {
+    grant: &'a mut [RoundRobinPointer],
+    accept: &'a mut [RoundRobinPointer],
+}
+
+impl IterRule for Pointers<'_> {
+    fn grant(&mut self, j: usize, cand: &[u64]) -> Option<usize> {
+        let p = &self.grant[j];
+        bitkern::rotating_first(cand, p.n(), p.pos())
+    }
+
+    fn accept(&mut self, i: usize, grants: &[u64]) -> Option<usize> {
+        let p = &self.accept[i];
+        bitkern::rotating_first(grants, p.n(), p.pos())
+    }
+
+    fn matched(&mut self, iter: usize, i: usize, j: usize) {
+        if iter == 0 {
+            self.grant[j].advance_past(i);
+            self.accept[i].advance_past(j);
+        }
+    }
 }
 
 impl Islip {
@@ -67,7 +82,6 @@ impl Islip {
     pub fn new(n: usize, iterations: usize) -> Self {
         assert!(n > 0, "scheduler requires n > 0");
         assert!(iterations > 0, "at least one iteration required");
-        let w = bitkern::words_for(n);
         Islip {
             n,
             iterations,
@@ -75,25 +89,14 @@ impl Islip {
             grant_ptr: vec![RoundRobinPointer::new(n); n],
             accept_ptr: vec![RoundRobinPointer::new(n); n],
             grant_of_target: vec![None; n],
-            rows: Vec::with_capacity(n * w),
-            cols: Vec::with_capacity(n * w),
-            grant_mask: vec![0; n * w],
-            unmatched_in: vec![0; w],
-            unmatched_out: vec![0; w],
-            cand: vec![0; w],
-            #[cfg(feature = "telemetry")]
-            tracing: false,
-            #[cfg(feature = "telemetry")]
-            trace: IterationTrace::default(),
+            engine: IterEngine::new(n),
         }
     }
 
     /// Convergence record of the most recent `schedule` call (same shape as
     /// [`DistributedLcf::last_trace`](crate::lcf::DistributedLcf::last_trace)).
-    /// Only populated while tracing.
-    #[cfg(feature = "telemetry")]
     pub fn last_trace(&self) -> &IterationTrace {
-        &self.trace
+        &self.engine.trace
     }
 
     /// Selects the matching-kernel implementation (builder style). Both
@@ -135,15 +138,13 @@ impl Scheduler for Islip {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        // While tracing, take the scalar reference kernel: it is
-        // bit-identical to the word-parallel kernel by contract, and it is
-        // where step recording lives.
-        #[cfg(feature = "telemetry")]
-        let word_parallel = !self.tracing && self.backend.word_parallel();
-        #[cfg(not(feature = "telemetry"))]
-        let word_parallel = self.backend.word_parallel();
-        if word_parallel {
-            self.schedule_bitset(requests, out);
+        if self.backend.word_parallel() {
+            let rule = &mut Pointers {
+                grant: &mut self.grant_ptr,
+                accept: &mut self.accept_ptr,
+            };
+            self.engine
+                .run_iterations(rule, requests, out, self.iterations, None);
         } else {
             self.schedule_scalar(requests, out);
         }
@@ -156,48 +157,28 @@ impl Scheduler for Islip {
         for p in &mut self.accept_ptr {
             *p = RoundRobinPointer::new(self.n);
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace = IterationTrace::default();
-        }
+        self.engine.trace = IterationTrace::default();
     }
 
     #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.engine.tracing = enabled;
     }
 
     #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        self.trace.drain_into(sink);
+        self.engine.trace.drain_into(sink);
     }
 }
 
 impl Islip {
     /// The scalar reference kernel: one rotating scan per port per step.
-    fn schedule_scalar(&mut self, requests: &RequestMatrix, out: &mut Matching) {
+    fn schedule_scalar(&mut self, requests: &RequestMatrix, matching: &mut Matching) {
         let n = self.n;
-        out.reset(n);
-        let matching = out;
-        #[cfg(feature = "telemetry")]
-        self.trace.begin_cycle();
+        self.engine.begin_cycle(matching, None);
 
         for iter in 0..self.iterations {
-            #[cfg(feature = "telemetry")]
-            let mut step = self.tracing.then(crate::telemetry::IterationStep::default);
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for i in 0..n {
-                    if matching.input_matched(i) {
-                        continue;
-                    }
-                    for j in requests.row_ones(i) {
-                        if !matching.output_matched(j) {
-                            step.requests.push((i, j));
-                        }
-                    }
-                }
-            }
+            self.engine.log_requests(requests, matching);
             // Grant step.
             for j in 0..n {
                 self.grant_of_target[j] = None;
@@ -206,14 +187,8 @@ impl Islip {
                 }
                 self.grant_of_target[j] =
                     self.grant_ptr[j].select(|i| !matching.input_matched(i) && requests.get(i, j));
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for j in 0..n {
-                    if let Some(i) = self.grant_of_target[j] {
-                        step.grants.push((i, j));
-                    }
+                if let Some(i) = self.grant_of_target[j] {
+                    self.engine.log_grant(i, j);
                 }
             }
 
@@ -227,10 +202,7 @@ impl Islip {
                 if let Some(j) = accepted {
                     matching.connect(i, j);
                     new_matches += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(step) = step.as_mut() {
-                        step.accepts.push((i, j));
-                    }
+                    self.engine.log_accept(i, j);
                     // Pointers slip only on first-iteration accepts; this is
                     // the rule that prevents starvation (McKeown, Sec. III).
                     if iter == 0 {
@@ -239,89 +211,7 @@ impl Islip {
                     }
                 }
             }
-            #[cfg(feature = "telemetry")]
-            {
-                if let Some(step) = step.take() {
-                    self.trace.steps.push(step);
-                }
-                if self.tracing {
-                    self.trace.new_matches.push(new_matches);
-                    if new_matches == 0 {
-                        self.trace.converged_after = Some(iter + 1);
-                    }
-                }
-            }
-            if new_matches == 0 {
-                break;
-            }
-        }
-    }
-
-    /// The word-parallel kernel: candidate filtering is a word-wise `AND`
-    /// of a column mask against the unmatched-inputs mask, and each pointer
-    /// scan is a word-walk [`bitkern::rotating_first`] over the
-    /// `words_for(n)`-word mask. Produces grant-for-grant identical
-    /// matchings (and identical pointer updates) to
-    /// [`Islip::schedule_scalar`].
-    fn schedule_bitset(&mut self, requests: &RequestMatrix, out: &mut Matching) {
-        let n = self.n;
-        let w = bitkern::words_for(n);
-        out.reset(n);
-        let matching = out;
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
-        bitkern::mask_fill(&mut self.unmatched_in, n);
-        bitkern::mask_fill(&mut self.unmatched_out, n);
-
-        for iter in 0..self.iterations {
-            // Grant step: each unmatched output offers its grant to the
-            // first requesting unmatched input at or after its pointer.
-            // Walking word copies of the unmatched-outputs mask visits the
-            // outputs in the same ascending order as the scalar loop.
-            self.grant_mask.fill(0);
-            for wi in 0..w {
-                let mut outs = self.unmatched_out[wi];
-                while outs != 0 {
-                    let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = self.cols[j * w + k] & self.unmatched_in[k];
-                    }
-                    if let Some(i) = bitkern::rotating_first(&self.cand, n, self.grant_ptr[j].pos())
-                    {
-                        bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
-                    }
-                }
-            }
-
-            // Accept step: each input holding grants accepts the first at
-            // or after its pointer. The per-word snapshot (`ins`) is not
-            // invalidated by clearing bits of `unmatched_in`: an input is
-            // cleared only when it accepts, and each input accepts at most
-            // once per iteration.
-            let mut new_matches = 0;
-            for wi in 0..w {
-                let mut ins = self.unmatched_in[wi];
-                while ins != 0 {
-                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    if let Some(j) = bitkern::rotating_first(
-                        &self.grant_mask[i * w..(i + 1) * w],
-                        n,
-                        self.accept_ptr[i].pos(),
-                    ) {
-                        matching.connect(i, j);
-                        bitkern::clear_bit(&mut self.unmatched_in, i);
-                        bitkern::clear_bit(&mut self.unmatched_out, j);
-                        new_matches += 1;
-                        if iter == 0 {
-                            self.grant_ptr[j].advance_past(i);
-                            self.accept_ptr[i].advance_past(j);
-                        }
-                    }
-                }
-            }
-            if new_matches == 0 {
+            if self.engine.end_iteration(iter, new_matches) {
                 break;
             }
         }

@@ -1,65 +1,11 @@
 //! The distributed LCF scheduler — the iterative algorithm of Sec. 5.
 
 use crate::arbiter::{min_rotating, DiagonalPointer};
+use crate::bitkern::{self, Backend};
+use crate::iterative::{IterEngine, IterRule, IterationTrace};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::traits::Scheduler;
-
-/// Per-cycle convergence record of the last [`DistributedLcf::schedule`] call.
-///
-/// Used by the EXT-2 experiment (iterations needed vs `n`): the paper argues
-/// the distributed scheduler converges in `O(log² n)` iterations like PIM.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct IterationTrace {
-    /// Number of *new* matches made in each executed iteration.
-    pub new_matches: Vec<usize>,
-    /// The 1-based iteration after which no further matches were possible
-    /// (the algorithm had converged), if it converged within the budget.
-    pub converged_after: Option<usize>,
-    /// The round-robin pre-grant of this cycle, if the scheduler made one
-    /// (only populated while tracing).
-    #[cfg(feature = "telemetry")]
-    pub pre_grant: Option<(usize, usize)>,
-    /// Full request/grant/accept sets per iteration (only populated while
-    /// tracing — see [`Scheduler::set_tracing`]).
-    #[cfg(feature = "telemetry")]
-    pub steps: Vec<crate::telemetry::IterationStep>,
-}
-
-impl IterationTrace {
-    /// Total matches made across all iterations (excluding a round-robin
-    /// pre-grant).
-    pub fn total_matches(&self) -> usize {
-        self.new_matches.iter().sum()
-    }
-
-    /// Resets the trace for a new scheduling cycle.
-    pub(crate) fn begin_cycle(&mut self) {
-        self.new_matches.clear();
-        self.converged_after = None;
-        #[cfg(feature = "telemetry")]
-        {
-            self.pre_grant = None;
-            self.steps.clear();
-        }
-    }
-
-    /// Emits the trace as events (a `pre_grant` event, then one `iteration`
-    /// event per recorded step), stamped with slot 0.
-    #[cfg(feature = "telemetry")]
-    pub(crate) fn drain_into(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        if let Some((i, j)) = self.pre_grant.take() {
-            sink(
-                lcf_telemetry::Event::new(0, "pre_grant")
-                    .field("input", i)
-                    .field("output", j),
-            );
-        }
-        for (iter, step) in self.steps.drain(..).enumerate() {
-            sink(step.to_event(iter));
-        }
-    }
-}
 
 /// The distributed Least Choice First scheduler (paper Sec. 5).
 ///
@@ -88,6 +34,7 @@ pub struct DistributedLcf {
     n: usize,
     iterations: usize,
     round_robin: bool,
+    backend: Backend,
     pointer: DiagonalPointer,
     /// Per-target tie-break offset over requesters. Initialized staggered
     /// (target `j` starts at requester `j`) and rotated by one every cycle —
@@ -101,9 +48,43 @@ pub struct DistributedLcf {
     nrq: Vec<usize>,
     ngt: Vec<usize>,
     grant_of_target: Vec<Option<usize>>,
-    trace: IterationTrace,
-    #[cfg(feature = "telemetry")]
-    tracing: bool,
+    engine: IterEngine,
+}
+
+/// Distributed LCF's selection rule on the word kernel: the least count
+/// wins, ties fall to the rotating chain ([`bitkern::min_key_rotating`]).
+struct LeastCount<'a> {
+    nrq: &'a mut [usize],
+    ngt: &'a mut [usize],
+    grant_tb: &'a [usize],
+    accept_tb: &'a [usize],
+}
+
+impl IterRule for LeastCount<'_> {
+    /// NRQ: each initiator's requests to unmatched targets (read for
+    /// unmatched initiators only).
+    fn before_grant(&mut self, rows: &[u64], unmatched_out: &[u64]) {
+        let rows = rows.chunks_exact(unmatched_out.len());
+        for (nrq, row) in self.nrq.iter_mut().zip(rows) {
+            *nrq = row
+                .iter()
+                .zip(unmatched_out)
+                .map(|(r, u)| (r & u).count_ones() as usize)
+                .sum();
+        }
+    }
+
+    /// NGT is frozen here, at grant time: the accept step shrinks
+    /// `unmatched_in`, but compares the counts the targets sent.
+    fn grant(&mut self, j: usize, cand: &[u64]) -> Option<usize> {
+        let n = self.nrq.len();
+        self.ngt[j] = bitkern::popcount(cand);
+        bitkern::min_key_rotating(cand, n, self.grant_tb[j], self.nrq)
+    }
+
+    fn accept(&mut self, i: usize, grants: &[u64]) -> Option<usize> {
+        bitkern::min_key_rotating(grants, self.ngt.len(), self.accept_tb[i], self.ngt)
+    }
 }
 
 impl DistributedLcf {
@@ -126,16 +107,22 @@ impl DistributedLcf {
             n,
             iterations,
             round_robin,
+            backend: Backend::default(),
             pointer: DiagonalPointer::new(n),
             grant_tb: (0..n).collect(),
             accept_tb: (0..n).collect(),
             nrq: vec![0; n],
             ngt: vec![0; n],
             grant_of_target: vec![None; n],
-            trace: IterationTrace::default(),
-            #[cfg(feature = "telemetry")]
-            tracing: false,
+            engine: IterEngine::new(n),
         }
+    }
+
+    /// Selects the matching-kernel implementation (builder style). Both
+    /// backends produce bit-identical schedules; see [`Backend`].
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        self.backend = backend;
+        self
     }
 
     /// The configured iteration budget.
@@ -155,7 +142,7 @@ impl DistributedLcf {
 
     /// Convergence record of the most recent `schedule` call.
     pub fn last_trace(&self) -> &IterationTrace {
-        &self.trace
+        &self.engine.trace
     }
 }
 
@@ -174,81 +161,86 @@ impl Scheduler for DistributedLcf {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        let n = self.n;
-        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
-        out.reset(n);
-        let matching = out;
-        self.trace.begin_cycle();
-
         // Round-robin position: one matrix element per cycle is scheduled
         // before regular LCF iterations take place (Sec. 5).
-        if self.round_robin && requests.get(i_off, j_off) {
-            matching.connect(i_off, j_off);
-            #[cfg(feature = "telemetry")]
-            if self.tracing {
-                self.trace.pre_grant = Some((i_off, j_off));
-            }
+        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
+        let pre_grant = (self.round_robin && requests.get(i_off, j_off)).then_some((i_off, j_off));
+        if self.backend.word_parallel() {
+            let rule = &mut LeastCount {
+                nrq: &mut self.nrq,
+                ngt: &mut self.ngt,
+                grant_tb: &self.grant_tb,
+                accept_tb: &self.accept_tb,
+            };
+            self.engine
+                .run_iterations(rule, requests, out, self.iterations, pre_grant);
+        } else {
+            self.schedule_scalar(requests, out, pre_grant);
         }
 
+        self.pointer.advance();
+        for tb in self.grant_tb.iter_mut().chain(self.accept_tb.iter_mut()) {
+            *tb = (*tb + 1) % self.n;
+        }
+    }
+
+    fn reset(&mut self) {
+        self.pointer = DiagonalPointer::new(self.n);
+        self.grant_tb = (0..self.n).collect();
+        self.accept_tb = (0..self.n).collect();
+        self.engine.trace = IterationTrace::default();
+    }
+
+    #[cfg(feature = "telemetry")]
+    fn set_tracing(&mut self, enabled: bool) {
+        self.engine.tracing = enabled;
+    }
+
+    #[cfg(feature = "telemetry")]
+    fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
+        self.engine.trace.drain_into(sink);
+    }
+}
+
+impl DistributedLcf {
+    /// The scalar reference kernel: index scans with per-bit probes.
+    fn schedule_scalar(
+        &mut self,
+        requests: &RequestMatrix,
+        matching: &mut Matching,
+        pre_grant: Option<(usize, usize)>,
+    ) {
+        let n = self.n;
+        self.engine.begin_cycle(matching, pre_grant);
+
         for iter in 0..self.iterations {
-            #[cfg(feature = "telemetry")]
-            let mut step = self.tracing.then(crate::telemetry::IterationStep::default);
+            self.engine.log_requests(requests, matching);
             // --- Request step -------------------------------------------
             // NRQ counts only requests an unmatched initiator can still act
             // on, i.e. those aimed at unmatched targets (matched targets
             // ignore incoming requests, so they represent no choice).
-            for i in 0..n {
-                self.nrq[i] = if matching.input_matched(i) {
-                    0
-                } else {
-                    requests
-                        .row_ones(i)
-                        .filter(|&j| !matching.output_matched(j))
-                        .count()
-                };
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for i in 0..n {
-                    if matching.input_matched(i) {
-                        continue;
-                    }
-                    for j in requests.row_ones(i) {
-                        if !matching.output_matched(j) {
-                            step.requests.push((i, j));
-                        }
-                    }
-                }
+            for i in (0..n).filter(|&i| !matching.input_matched(i)) {
+                let live = requests
+                    .row_ones(i)
+                    .filter(|&j| !matching.output_matched(j));
+                self.nrq[i] = live.count();
             }
 
             // --- Grant step ----------------------------------------------
             for j in 0..n {
                 self.grant_of_target[j] = None;
-                self.ngt[j] = 0;
                 if matching.output_matched(j) {
                     continue;
                 }
-                self.ngt[j] = requests
-                    .col_ones(j)
-                    .filter(|&i| !matching.input_matched(i))
-                    .count();
-                if self.ngt[j] == 0 {
-                    continue;
-                }
+                let live = requests.col_ones(j).filter(|&i| !matching.input_matched(i));
+                self.ngt[j] = live.count();
                 // Lowest NRQ wins; ties broken by this target's rotating
                 // priority chain.
                 self.grant_of_target[j] = min_rotating(n, self.grant_tb[j], |i| {
                     (!matching.input_matched(i) && requests.get(i, j)).then_some(self.nrq[i])
                 });
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for j in 0..n {
-                    if let Some(i) = self.grant_of_target[j] {
-                        step.grants.push((i, j));
-                    }
+                if let Some(i) = self.grant_of_target[j] {
+                    self.engine.log_grant(i, j);
                 }
             }
 
@@ -266,45 +258,13 @@ impl Scheduler for DistributedLcf {
                 if let Some(j) = accepted {
                     matching.connect(i, j);
                     new_matches += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(step) = step.as_mut() {
-                        step.accepts.push((i, j));
-                    }
+                    self.engine.log_accept(i, j);
                 }
             }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.take() {
-                self.trace.steps.push(step);
-            }
-            self.trace.new_matches.push(new_matches);
-            if new_matches == 0 {
-                self.trace.converged_after = Some(iter + 1);
+            if self.engine.end_iteration(iter, new_matches) {
                 break;
             }
         }
-
-        self.pointer.advance();
-        for tb in self.grant_tb.iter_mut().chain(self.accept_tb.iter_mut()) {
-            *tb = (*tb + 1) % n;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.pointer = DiagonalPointer::new(self.n);
-        self.grant_tb = (0..self.n).collect();
-        self.accept_tb = (0..self.n).collect();
-        self.trace = IterationTrace::default();
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        self.trace.drain_into(sink);
     }
 }
 

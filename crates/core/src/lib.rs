@@ -52,6 +52,7 @@ pub mod bitmat;
 pub mod check;
 pub mod fifo_rr;
 pub mod islip;
+mod iterative;
 pub mod lcf;
 pub mod matching;
 pub mod maxsize;

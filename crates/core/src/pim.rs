@@ -5,7 +5,7 @@
 //! chosen *uniformly at random* instead of by least-choice priority.
 
 use crate::bitkern::{self, Backend};
-use crate::lcf::IterationTrace;
+use crate::iterative::{IterEngine, IterRule, IterationTrace};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::traits::Scheduler;
@@ -28,20 +28,33 @@ pub struct Pim {
     backend: Backend,
     rng: StdRng,
     seed: u64,
-    // Scratch, reused across slots.
+    // Scalar-kernel scratch, reused across slots.
     grant_of_target: Vec<Option<usize>>,
     candidates: Vec<usize>,
-    trace: IterationTrace,
-    #[cfg(feature = "telemetry")]
-    tracing: bool,
-    // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // masks plus per-port candidate and unmatched scratch masks.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
-    grant_mask: Vec<u64>,
-    unmatched_in: Vec<u64>,
-    unmatched_out: Vec<u64>,
-    cand: Vec<u64>,
+    engine: IterEngine,
+}
+
+/// PIM's selection rule on the word kernel: a popcount plus a k-th-set-bit
+/// select. The engine visits ports in the scalar kernel's ascending order
+/// and the `gen_range` bounds equal the scalar candidate-list lengths, so
+/// both backends consume the RNG stream identically.
+struct Uniform<'a>(&'a mut StdRng);
+
+impl Uniform<'_> {
+    fn pick(&mut self, mask: &[u64]) -> Option<usize> {
+        let count = bitkern::popcount(mask);
+        (count > 0).then(|| bitkern::kth_set_bit(mask, self.0.gen_range(0..count)))
+    }
+}
+
+impl IterRule for Uniform<'_> {
+    fn grant(&mut self, _j: usize, cand: &[u64]) -> Option<usize> {
+        self.pick(cand)
+    }
+
+    fn accept(&mut self, _i: usize, grants: &[u64]) -> Option<usize> {
+        self.pick(grants)
+    }
 }
 
 impl Pim {
@@ -49,7 +62,6 @@ impl Pim {
     pub fn new(n: usize, iterations: usize, seed: u64) -> Self {
         assert!(n > 0, "scheduler requires n > 0");
         assert!(iterations > 0, "at least one iteration required");
-        let w = bitkern::words_for(n);
         Pim {
             n,
             iterations,
@@ -58,15 +70,7 @@ impl Pim {
             seed,
             grant_of_target: vec![None; n],
             candidates: Vec::with_capacity(n),
-            trace: IterationTrace::default(),
-            #[cfg(feature = "telemetry")]
-            tracing: false,
-            rows: Vec::with_capacity(n * w),
-            cols: Vec::with_capacity(n * w),
-            grant_mask: vec![0; n * w],
-            unmatched_in: vec![0; w],
-            unmatched_out: vec![0; w],
-            cand: vec![0; w],
+            engine: IterEngine::new(n),
         }
     }
 
@@ -91,7 +95,7 @@ impl Pim {
     /// Convergence record of the most recent `schedule` call (same shape
     /// as [`DistributedLcf::last_trace`](crate::lcf::DistributedLcf::last_trace)).
     pub fn last_trace(&self) -> &IterationTrace {
-        &self.trace
+        &self.engine.trace
     }
 }
 
@@ -106,15 +110,10 @@ impl Scheduler for Pim {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        // While tracing, take the scalar reference kernel: both kernels
-        // consume the RNG identically and produce bit-identical matchings,
-        // and the scalar kernel is where step recording lives.
-        #[cfg(feature = "telemetry")]
-        let word_parallel = !self.tracing && self.backend.word_parallel();
-        #[cfg(not(feature = "telemetry"))]
-        let word_parallel = self.backend.word_parallel();
-        if word_parallel {
-            self.schedule_bitset(requests, out);
+        if self.backend.word_parallel() {
+            let rule = &mut Uniform(&mut self.rng);
+            self.engine
+                .run_iterations(rule, requests, out, self.iterations, None);
         } else {
             self.schedule_scalar(requests, out);
         }
@@ -126,39 +125,23 @@ impl Scheduler for Pim {
 
     #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.engine.tracing = enabled;
     }
 
     #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        self.trace.drain_into(sink);
+        self.engine.trace.drain_into(sink);
     }
 }
 
 impl Pim {
     /// The scalar reference kernel: candidate lists gathered per port.
-    fn schedule_scalar(&mut self, requests: &RequestMatrix, out: &mut Matching) {
+    fn schedule_scalar(&mut self, requests: &RequestMatrix, matching: &mut Matching) {
         let n = self.n;
-        out.reset(n);
-        let matching = out;
-        self.trace.begin_cycle();
+        self.engine.begin_cycle(matching, None);
 
         for iter in 0..self.iterations {
-            #[cfg(feature = "telemetry")]
-            let mut step = self.tracing.then(crate::telemetry::IterationStep::default);
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for i in 0..n {
-                    if matching.input_matched(i) {
-                        continue;
-                    }
-                    for j in requests.row_ones(i) {
-                        if !matching.output_matched(j) {
-                            step.requests.push((i, j));
-                        }
-                    }
-                }
-            }
+            self.engine.log_requests(requests, matching);
             // Grant: each unmatched output picks uniformly among the
             // unmatched inputs requesting it.
             for j in 0..n {
@@ -170,17 +153,9 @@ impl Pim {
                 self.candidates
                     .extend(requests.col_ones(j).filter(|&i| !matching.input_matched(i)));
                 if !self.candidates.is_empty() {
-                    let pick = self.rng.gen_range(0..self.candidates.len());
-                    self.grant_of_target[j] = Some(self.candidates[pick]);
-                }
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for j in 0..n {
-                    if let Some(i) = self.grant_of_target[j] {
-                        step.grants.push((i, j));
-                    }
+                    let i = self.candidates[self.rng.gen_range(0..self.candidates.len())];
+                    self.grant_of_target[j] = Some(i);
+                    self.engine.log_grant(i, j);
                 }
             }
 
@@ -194,92 +169,13 @@ impl Pim {
                 self.candidates
                     .extend((0..n).filter(|&j| self.grant_of_target[j] == Some(i)));
                 if !self.candidates.is_empty() {
-                    let pick = self.rng.gen_range(0..self.candidates.len());
-                    let j = self.candidates[pick];
+                    let j = self.candidates[self.rng.gen_range(0..self.candidates.len())];
                     matching.connect(i, j);
                     new_matches += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(step) = step.as_mut() {
-                        step.accepts.push((i, j));
-                    }
+                    self.engine.log_accept(i, j);
                 }
             }
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.take() {
-                self.trace.steps.push(step);
-            }
-            self.trace.new_matches.push(new_matches);
-            if new_matches == 0 {
-                self.trace.converged_after = Some(iter + 1);
-                break;
-            }
-        }
-    }
-
-    /// The word-parallel kernel: the uniform pick over a candidate list
-    /// becomes a popcount plus a k-th-set-bit select on the multi-word
-    /// candidate mask. The ports are visited in the same ascending order
-    /// with the same `gen_range` bounds as the scalar kernel, so the RNG
-    /// stream is consumed identically and the matchings are bit-identical
-    /// to [`Pim::schedule_scalar`].
-    fn schedule_bitset(&mut self, requests: &RequestMatrix, out: &mut Matching) {
-        let n = self.n;
-        let w = bitkern::words_for(n);
-        out.reset(n);
-        let matching = out;
-        self.trace.begin_cycle();
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
-        bitkern::mask_fill(&mut self.unmatched_in, n);
-        bitkern::mask_fill(&mut self.unmatched_out, n);
-
-        for iter in 0..self.iterations {
-            // Grant: each unmatched output picks uniformly among the
-            // unmatched inputs requesting it (k-th set bit of the mask,
-            // ascending — the mask order matches the scalar candidate list).
-            // Word-copy walking visits outputs in ascending order.
-            self.grant_mask.fill(0);
-            for wi in 0..w {
-                let mut outs = self.unmatched_out[wi];
-                while outs != 0 {
-                    let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = self.cols[j * w + k] & self.unmatched_in[k];
-                    }
-                    let count = bitkern::popcount(&self.cand);
-                    if count > 0 {
-                        let pick = self.rng.gen_range(0..count);
-                        let i = bitkern::kth_set_bit(&self.cand, pick);
-                        bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
-                    }
-                }
-            }
-
-            // Accept: each input holding grants picks uniformly among them.
-            // The per-word snapshot stays valid: inputs are cleared from
-            // `unmatched_in` only when they accept, at most once each.
-            let mut new_matches = 0;
-            for wi in 0..w {
-                let mut ins = self.unmatched_in[wi];
-                while ins != 0 {
-                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    let grants = &self.grant_mask[i * w..(i + 1) * w];
-                    let count = bitkern::popcount(grants);
-                    if count > 0 {
-                        let pick = self.rng.gen_range(0..count);
-                        let j = bitkern::kth_set_bit(grants, pick);
-                        matching.connect(i, j);
-                        bitkern::clear_bit(&mut self.unmatched_in, i);
-                        bitkern::clear_bit(&mut self.unmatched_out, j);
-                        new_matches += 1;
-                    }
-                }
-            }
-            self.trace.new_matches.push(new_matches);
-            if new_matches == 0 {
-                self.trace.converged_after = Some(iter + 1);
+            if self.engine.end_iteration(iter, new_matches) {
                 break;
             }
         }

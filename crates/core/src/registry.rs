@@ -42,16 +42,6 @@ pub enum SchedulerKind {
 pub enum BackendChoice {
     /// The scheduler runs the backend the caller asked for.
     AsRequested(Backend),
-    /// Reserved: a bitset request could not be honored and the scheduler
-    /// fell back to the scalar reference kernel. The multi-word kernels
-    /// ([`bitkern`](crate::bitkern)) serve every port count, so no current
-    /// scheduler constructs this variant; it remains so that callers (and
-    /// the bench fallback asserts) keep a loud guard should a future
-    /// kernel reintroduce a size limit.
-    ScalarFallback {
-        /// The port count that forced the fallback.
-        n: usize,
-    },
     /// The scheduler has no word-parallel kernel at all; the backend request
     /// is ignored and the scalar implementation always runs.
     NoKernel,
@@ -62,13 +52,8 @@ impl BackendChoice {
     pub fn effective(self) -> Backend {
         match self {
             BackendChoice::AsRequested(b) => b,
-            BackendChoice::ScalarFallback { .. } | BackendChoice::NoKernel => Backend::Scalar,
+            BackendChoice::NoKernel => Backend::Scalar,
         }
-    }
-
-    /// True if a bitset request was silently impossible to honor.
-    pub fn is_fallback(self) -> bool {
-        matches!(self, BackendChoice::ScalarFallback { .. })
     }
 }
 
@@ -76,9 +61,6 @@ impl std::fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendChoice::AsRequested(b) => f.write_str(b.name()),
-            BackendChoice::ScalarFallback { n } => {
-                write!(f, "scalar (bitset unavailable for n = {n})")
-            }
             BackendChoice::NoKernel => f.write_str("scalar (no word-parallel kernel)"),
         }
     }
@@ -181,12 +163,16 @@ impl SchedulerKind {
     }
 
     /// True for schedulers that have a word-parallel (bitset) kernel in
-    /// addition to the scalar reference kernel.
+    /// addition to the scalar reference kernel: central LCF, wavefront, and
+    /// the three iterative schedulers, which share one request/grant/accept
+    /// mask engine.
     pub fn has_kernel(self) -> bool {
         matches!(
             self,
             SchedulerKind::LcfCentral
                 | SchedulerKind::LcfCentralRr
+                | SchedulerKind::LcfDist
+                | SchedulerKind::LcfDistRr
                 | SchedulerKind::Pim
                 | SchedulerKind::Islip
                 | SchedulerKind::Wavefront
@@ -236,7 +222,7 @@ impl SchedulerKind {
 
     /// Like [`SchedulerKind::build`], but selects the matching-kernel
     /// [`Backend`] for the schedulers that have a word-parallel fast path
-    /// (`lcf_central*`, `islip`, `pim`, `wfront`). The scalar backend is the
+    /// (`lcf_central*`, `lcf_dist*`, `islip`, `pim`, `wfront`). The scalar backend is the
     /// reference implementation; both produce bit-identical matchings, so
     /// this is a performance dial and a differential-testing hook, never a
     /// semantic switch. Schedulers without a bitset kernel ignore the
@@ -258,8 +244,12 @@ impl SchedulerKind {
             SchedulerKind::LcfCentralRr => {
                 Box::new(CentralLcf::with_round_robin(n).with_backend(backend))
             }
-            SchedulerKind::LcfDist => Box::new(DistributedLcf::pure(n, iterations)),
-            SchedulerKind::LcfDistRr => Box::new(DistributedLcf::with_round_robin(n, iterations)),
+            SchedulerKind::LcfDist => {
+                Box::new(DistributedLcf::pure(n, iterations).with_backend(backend))
+            }
+            SchedulerKind::LcfDistRr => {
+                Box::new(DistributedLcf::with_round_robin(n, iterations).with_backend(backend))
+            }
             SchedulerKind::Pim => Box::new(Pim::new(n, iterations, seed).with_backend(backend)),
             SchedulerKind::Islip => Box::new(Islip::new(n, iterations).with_backend(backend)),
             SchedulerKind::Wavefront => Box::new(Wavefront::new(n).with_backend(backend)),
@@ -463,24 +453,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_fallback_variant_stays_loud() {
-        // No scheduler constructs ScalarFallback today, but the reporting
-        // surface must stay meaningful for the bench fallback asserts.
-        let fallback = BackendChoice::ScalarFallback { n: 100 };
-        assert!(fallback.is_fallback());
-        assert_eq!(fallback.effective(), Backend::Scalar);
-        assert!(fallback.to_string().contains("n = 100"));
-        assert!(!BackendChoice::AsRequested(Backend::Bitset).is_fallback());
-        assert!(!BackendChoice::NoKernel.is_fallback());
-    }
-
-    #[test]
     fn build_with_backend_returns_the_resolved_choice() {
         let (s, choice) = SchedulerKind::Islip.build_with_backend(100, 4, 1, Backend::Bitset);
         assert_eq!(s.num_ports(), 100);
         assert_eq!(choice, BackendChoice::AsRequested(Backend::Bitset));
         for kind in [
             SchedulerKind::LcfCentral,
+            SchedulerKind::LcfDist,
+            SchedulerKind::LcfDistRr,
             SchedulerKind::Islip,
             SchedulerKind::Pim,
             SchedulerKind::Wavefront,

@@ -59,9 +59,10 @@ pub trait Scheduler {
     /// [`drain_events`](Scheduler::drain_events). Default: ignored —
     /// schedulers without instrumentation trace nothing.
     ///
-    /// Tracing never changes the schedule: instrumented schedulers route to
-    /// their scalar reference kernel while tracing, which is bit-identical
-    /// to the word-parallel kernel by contract.
+    /// Tracing never changes the schedule: the iterative schedulers record
+    /// from whichever kernel runs, and central LCF routes to its scalar
+    /// reference kernel while tracing, which is bit-identical to the
+    /// word-parallel kernel by contract.
     #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, _enabled: bool) {}
 

@@ -144,7 +144,7 @@ fn drained_events_match_decisions_and_clear() {
 fn iterative_steps_reconstruct_figure9() {
     // Fig. 9 (distributed LCF): iteration 0 matches (I0,T2), (I1,T0),
     // (I3,T1); iteration 1 matches (I2,T3). The traced step sets must tell
-    // exactly that story.
+    // exactly that story, on either kernel backend.
     let requests = RequestMatrix::from_pairs(
         4,
         [
@@ -159,17 +159,71 @@ fn iterative_steps_reconstruct_figure9() {
             (3, 3),
         ],
     );
-    let mut sched = DistributedLcf::pure(4, 2);
-    sched.set_tracing(true);
-    let m = sched.schedule(&requests);
-    assert_eq!(m.size(), 4);
-    let steps = &sched.last_trace().steps;
-    assert_eq!(steps.len(), 2);
-    assert_eq!(steps[0].requests.len(), 9, "all nine requests go out first");
-    assert_eq!(steps[0].accepts, vec![(0, 2), (1, 0), (3, 1)]);
-    assert_eq!(steps[1].accepts, vec![(2, 3)]);
-    // Iteration 1 only involves the leftover ports.
-    assert!(steps[1].requests.iter().all(|&(i, _)| i == 2));
+    for backend in [Backend::Scalar, Backend::Bitset] {
+        let mut sched = DistributedLcf::pure(4, 2).with_backend(backend);
+        sched.set_tracing(true);
+        let m = sched.schedule(&requests);
+        assert_eq!(m.size(), 4);
+        let steps = &sched.last_trace().steps;
+        assert_eq!(steps.len(), 2);
+        assert_eq!(steps[0].requests.len(), 9, "all nine requests go out first");
+        assert_eq!(steps[0].accepts, vec![(0, 2), (1, 0), (3, 1)]);
+        assert_eq!(steps[1].accepts, vec![(2, 3)]);
+        // Iteration 1 only involves the leftover ports.
+        assert!(steps[1].requests.iter().all(|&(i, _)| i == 2));
+    }
+}
+
+#[test]
+fn iterative_steps_are_backend_independent() {
+    // Traced runs of the iterative schedulers take the word kernel; its
+    // recorded steps and pre-grants must equal the scalar reference's, slot
+    // by slot, on single- and multi-word port counts.
+    use lcf_core::registry::SchedulerKind;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let kinds = [
+        SchedulerKind::Pim,
+        SchedulerKind::Islip,
+        SchedulerKind::LcfDist,
+        SchedulerKind::LcfDistRr,
+    ];
+    for n in [4usize, 16, 65] {
+        for kind in kinds {
+            let build = |backend| {
+                let mut s: Box<dyn Scheduler> = match kind {
+                    SchedulerKind::Pim => Box::new(Pim::new(n, 4, 3).with_backend(backend)),
+                    SchedulerKind::Islip => Box::new(Islip::new(n, 4).with_backend(backend)),
+                    SchedulerKind::LcfDist => {
+                        Box::new(DistributedLcf::pure(n, 4).with_backend(backend))
+                    }
+                    _ => Box::new(DistributedLcf::with_round_robin(n, 4).with_backend(backend)),
+                };
+                s.set_tracing(true);
+                s
+            };
+            let (mut scalar, mut bitset) = (build(Backend::Scalar), build(Backend::Bitset));
+            let mut rng = StdRng::seed_from_u64(0x57E9 ^ n as u64);
+            let (mut steps, mut pre_grants) = (0, 0);
+            for slot in 0..16 {
+                let requests = RequestMatrix::random(n, 0.4, &mut rng);
+                let a = scalar.schedule(&requests);
+                assert_eq!(a, bitset.schedule(&requests), "{kind} n={n} slot {slot}");
+                let (mut ea, mut eb) = (Vec::new(), Vec::new());
+                scalar.drain_events(&mut |e| ea.push(e.to_json()));
+                bitset.drain_events(&mut |e| eb.push(e.to_json()));
+                assert_eq!(ea, eb, "{kind} n={n} slot {slot}: traced steps differ");
+                pre_grants += ea.iter().filter(|e| e.contains("pre_grant")).count();
+                steps += ea.len();
+            }
+            assert!(steps >= 16, "{kind} n={n}: every slot records a step");
+            assert_eq!(
+                pre_grants > 0,
+                kind == SchedulerKind::LcfDistRr,
+                "{kind} n={n}: only lcf_dist_rr pre-grants"
+            );
+        }
+    }
 }
 
 #[test]

@@ -145,6 +145,8 @@ proptest! {
         for kind in [
             SchedulerKind::LcfCentral,
             SchedulerKind::LcfCentralRr,
+            SchedulerKind::LcfDist,
+            SchedulerKind::LcfDistRr,
             SchedulerKind::Pim,
             SchedulerKind::Islip,
             SchedulerKind::Wavefront,
@@ -291,6 +293,8 @@ fn large_n_registry_backends_agree_and_report_as_requested() {
         for kind in [
             SchedulerKind::LcfCentral,
             SchedulerKind::LcfCentralRr,
+            SchedulerKind::LcfDist,
+            SchedulerKind::LcfDistRr,
             SchedulerKind::Pim,
             SchedulerKind::Islip,
             SchedulerKind::Wavefront,

@@ -1,6 +1,7 @@
 //! Deeper semantic tests for the individual schedulers — the rules that
 //! distinguish the algorithms, beyond the common matching contract.
 
+use lcf_core::bitkern::Backend;
 use lcf_core::islip::Islip;
 use lcf_core::lcf::{CentralLcf, DistributedLcf};
 use lcf_core::pim::Pim;
@@ -149,7 +150,9 @@ fn distributed_lcf_starvation_and_rescue() {
 
 /// Iterative completion: a matching that needs a second iteration (an
 /// initiator holding two grants rejects one, which re-grants next round)
-/// converges, and the trace records the two productive iterations.
+/// converges, and the trace records the two productive iterations. The
+/// convergence trace of every iterative scheduler is filled without
+/// tracing and is the same on both kernel backends.
 #[test]
 fn distributed_lcf_second_iteration_completes_the_matching() {
     // I3 requests T2 and T3 and wins both grants in iteration 0 (lowest
@@ -177,6 +180,22 @@ fn distributed_lcf_second_iteration_completes_the_matching() {
         "iteration 2 must contribute: {:?}",
         trace.new_matches
     );
+
+    let traces = |backend: Backend| {
+        let mut lcf = DistributedLcf::pure(4, 4).with_backend(backend);
+        let mut pim = Pim::new(4, 4, 9).with_backend(backend);
+        let mut islip = Islip::new(4, 4).with_backend(backend);
+        [
+            (lcf.schedule(&requests).size(), lcf.last_trace().clone()),
+            (pim.schedule(&requests).size(), pim.last_trace().clone()),
+            (islip.schedule(&requests).size(), islip.last_trace().clone()),
+        ]
+    };
+    let scalar = traces(Backend::Scalar);
+    assert_eq!(scalar, traces(Backend::Bitset));
+    for (size, trace) in &scalar {
+        assert_eq!(trace.total_matches(), *size, "{trace:?}");
+    }
 }
 
 /// Head-to-head matching size on sparse asymmetric patterns: central LCF
