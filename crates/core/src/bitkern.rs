@@ -213,7 +213,7 @@ fn transpose64(a: &mut [u64; WORD_BITS], sub: usize) {
 /// Computes per-column masks (the transpose): bit `i % 64` of word `i / 64`
 /// of column `j`'s mask (at `cols[j * w..(j + 1) * w]`) is bit `j` of row
 /// `i`. Word-parallel: the matrix is processed as `w²` 64×64 blocks, each
-/// transposed with [`transpose64`]'s masked XOR swaps; all-zero blocks are
+/// transposed with `transpose64`'s masked XOR swaps; all-zero blocks are
 /// skipped, so sparse matrices stay cheap while dense ones never pay a
 /// per-set-bit loop.
 ///
@@ -368,361 +368,67 @@ pub fn min_key_rotating(mask: &[u64], n: usize, start: usize, key: &[usize]) -> 
     best.map(|(_, idx)| idx)
 }
 
-/// Among the set bits of `mask`, the index minimizing
-/// `popcount(rows[i * w..][..w] & filter)` — the number of row-`i` request
-/// bits surviving the `filter` mask — ties broken by the rotating order
-/// starting at `start`. This is the lazy-NRQ form of [`min_key_rotating`]:
-/// instead of maintaining a decremented count table and withdrawing rows
-/// from every column on each grant, the caller keeps the *original* request
-/// rows plus a mask of still-unscheduled resources, and the key is an
-/// `AND`+`popcount` per candidate. Bits of `mask` at or beyond `n` must be
-/// zero.
+/// [`min_key_rotating`] fused with a grant's count update: returns the same
+/// index, and decrements `counts[i]` for every member `i` of `mask` in the
+/// same pass. This is central LCF's per-resource step — the live requesters
+/// of a granted resource each lose one outstanding request.
+///
+/// One ascending walk over the set bits keeps the branchless minimum of the
+/// packed key `(counts[i] << 32) | ((i - start) mod n)`: the smallest count
+/// wins, and among equal counts the first index in the rotating order from
+/// `start`. Every member's count must be at least 1 and below `2^32`. Bits
+/// of `mask` at or beyond `n` must be zero.
 ///
 /// # Panics
-/// Panics if `start >= n`, `mask.len() != words_for(n)`,
-/// `rows.len() < n * words_for(n)`, or `filter.len() != words_for(n)` —
-/// checked in release too.
-pub fn min_overlap_rotating(
+/// Panics if `start >= n`, `n` does not fit in 32 bits,
+/// `mask.len() != words_for(n)` or `counts` is shorter than `n` — checked
+/// in release too.
+pub fn min_key_rotating_grant(
     mask: &[u64],
     n: usize,
     start: usize,
-    rows: &[u64],
-    filter: &[u64],
+    counts: &mut [usize],
 ) -> Option<usize> {
     let w = words_for(n);
     assert!(
-        start < n,
-        "min_overlap_rotating: start {start} out of range for n = {n}"
+        start < n && n <= u32::MAX as usize,
+        "min_key_rotating_grant: start {start} out of range for n = {n}"
     );
     assert_eq!(
         mask.len(),
         w,
-        "min_overlap_rotating: mask has {} words, n = {n} needs {w}",
+        "min_key_rotating_grant: mask has {} words, n = {n} needs {w}",
         mask.len()
     );
     assert!(
-        rows.len() >= n * w,
-        "min_overlap_rotating: rows shorter than n x w"
-    );
-    assert_eq!(
-        filter.len(),
-        w,
-        "min_overlap_rotating: filter has {} words, n = {n} needs {w}",
-        filter.len()
+        counts.len() >= n,
+        "min_key_rotating_grant: count table shorter than n"
     );
     debug_assert!(excess_is_zero(mask, n), "mask has bits beyond n");
-    if w == 1 {
-        // Single-word fast path: rotate the candidate word so one ascending
-        // trailing_zeros walk visits candidates in exactly the rotating
-        // order. Valid bits all land below `n`, so masking off the shifted
-        // overlap keeps the walk clean.
-        let cand = mask[0];
-        if cand == 0 {
-            return None;
-        }
-        let rot = if start == 0 {
-            cand
-        } else if n == WORD_BITS {
-            // lint:allow(truncating-cast): start < n <= 64 fits u32
-            cand.rotate_right(start as u32)
-        } else {
-            ((cand >> start) | (cand << (n - start))) & mask_n(n)
-        };
-        let filter0 = filter[0];
-        let mut best_key = u32::MAX;
-        let mut best_idx = 0usize;
-        let mut m = rot;
-        while m != 0 {
-            let mut idx = start + m.trailing_zeros() as usize;
-            m &= m - 1;
-            if idx >= n {
-                idx -= n;
-            }
-            let kv = (rows[idx] & filter0).count_ones();
-            if kv < best_key {
-                best_key = kv;
-                best_idx = idx;
-            }
-        }
-        return Some(best_idx);
-    }
-    let (sw, sb) = (start / WORD_BITS, start % WORD_BITS);
-    // Same rotating enumeration as `min_key_rotating`: [start, n) ascending
-    // then [0, start) ascending, keeping the first strict minimum.
-    let mut best_key = usize::MAX;
-    let mut best_idx: Option<usize> = None;
-    let mut consider = |wi: usize, word: u64| {
+    let mut best = u64::MAX;
+    for (wi, &word) in mask.iter().enumerate() {
         let mut word = word;
         while word != 0 {
             let idx = wi * WORD_BITS + word.trailing_zeros() as usize;
             word &= word - 1;
-            let row = &rows[idx * w..idx * w + w];
-            let kv: usize = row
-                .iter()
-                .zip(filter)
-                .map(|(r, f)| (r & f).count_ones() as usize)
-                .sum();
-            if kv < best_key {
-                best_key = kv;
-                best_idx = Some(idx);
-            }
-        }
-    };
-    consider(sw, mask[sw] & (u64::MAX << sb));
-    for (wi, &word) in mask.iter().enumerate().skip(sw + 1) {
-        consider(wi, word);
-    }
-    for (wi, &word) in mask.iter().enumerate().take(sw) {
-        consider(wi, word);
-    }
-    consider(sw, mask[sw] & !(u64::MAX << sb));
-    best_idx
-}
-
-// --- Packed 16-bit lane kernels (single-word masks, n <= 64) -------------
-//
-// The LCF min-NRQ scan visits every live requester of a resource; on dense
-// heavy-traffic matrices that is Θ(n²/2) candidate probes per schedule. The
-// lane kernels instead keep the NRQ table as packed 16-bit lanes (4 per
-// word) and find the minimum — *including* the rotating tie-break — with
-// word-parallel compares: each lane's search key is `(nrq << 7) | rotation
-// position`, so one unsigned lane-min yields both the smallest count and,
-// among ties, the first requester in the rotating order.
-
-/// High bit of each 16-bit lane.
-const H16: u64 = 0x8000_8000_8000_8000;
-/// All-lanes sentinel: larger than any valid key, small enough that the
-/// borrow-free SWAR compare stays per-lane.
-const SENT16: u64 = 0x7FFF_7FFF_7FFF_7FFF;
-/// 1 in each 16-bit lane.
-const ONE16: u64 = 0x0001_0001_0001_0001;
-
-/// Lane masks per 4-bit member nibble: entry `b` has lane `l` = `0xFFFF`
-/// iff bit `l` of `b` is set.
-const fn lane16_lut() -> [u64; 16] {
-    let mut t = [0u64; 16];
-    let mut b = 0;
-    while b < 16 {
-        let mut l = 0;
-        while l < 4 {
-            if (b >> l) & 1 == 1 {
-                t[b] |= 0xFFFF << (16 * l);
-            }
-            l += 1;
-        }
-        b += 1;
-    }
-    t
-}
-static LANE16_LUT: [u64; 16] = lane16_lut();
-
-/// Per-lane unsigned minimum; both operands' lanes must be `<= 0x7FFF` so
-/// the `(a | H) - b` borrow trick never crosses a lane boundary.
-#[inline]
-fn min16(a: u64, b: u64) -> u64 {
-    let ge = ((a | H16) - b) & H16; // lane high bit set iff a >= b
-    let sel = (ge >> 15).wrapping_mul(0xFFFF); // 0xFFFF where a >= b
-    a ^ ((a ^ b) & sel)
-}
-
-/// Number of 16-bit-lane words covering `n` lanes.
-#[inline]
-pub fn lane16_words(n: usize) -> usize {
-    assert!(
-        (1..=WORD_BITS).contains(&n),
-        "lane16 kernels require 1 <= n <= {WORD_BITS}"
-    );
-    n.div_ceil(4)
-}
-
-/// The NRQ count's position within a lane: the low 7 bits hold the
-/// rotation position, so a lane compares as `(count << 7) | rotation`.
-const LANE16_COUNT_SHIFT: u32 = 7;
-
-/// Builds the rotation-position table consumed by [`min_lane16_rotating`]:
-/// for each `start` in `0..n`, `lane16_words(n)` words whose lane `i`
-/// holds `(i - start) mod n`. Precomputing this (`n²/4` words, a few KB)
-/// keeps the per-scan work to one load+add+mask+min per word.
-///
-/// # Panics
-/// Panics if `n` is 0 or exceeds [`WORD_BITS`].
-pub fn lane16_rot_table(n: usize) -> Vec<u64> {
-    let nw = lane16_words(n);
-    let mut table = vec![0u64; n * nw];
-    for start in 0..n {
-        for i in 0..n {
-            let rot = ((i + n - start) % n) as u64;
-            table[start * nw + i / 4] |= rot << (16 * (i % 4));
+            let count = counts[idx];
+            counts[idx] = count - 1;
+            let rot = if idx >= start {
+                idx - start
+            } else {
+                idx + n - start
+            };
+            best = best.min((count as u64) << 32 | rot as u64);
         }
     }
-    table
-}
-
-/// Packs the popcount of each single-word row into 16-bit lanes: lane
-/// `i % 4` of `keys16[i / 4]` becomes `rows[i].count_ones() << 7` (shifted
-/// past the rotation-position field). This is the NRQ table layout
-/// consumed by [`min_lane16_rotating`] and maintained by
-/// [`lane16_decrement`].
-///
-/// # Panics
-/// Panics if `rows.len() < n` or `n > 64`.
-pub fn lane16_pack_popcounts(rows: &[u64], n: usize, keys16: &mut Vec<u64>) {
-    let nw = lane16_words(n);
-    assert!(
-        rows.len() >= n,
-        "lane16_pack_popcounts: rows shorter than n"
-    );
-    keys16.clear();
-    keys16.resize(nw, 0);
-    for (i, &row) in rows.iter().enumerate().take(n) {
-        keys16[i / 4] |= ((row.count_ones() as u64) << LANE16_COUNT_SHIFT) << (16 * (i % 4));
-    }
-}
-
-/// Subtracts 1 from the packed count of every index whose bit is set in
-/// `members`. Counts must be nonzero for every member (the caller's NRQ
-/// invariant: a live requester of a granted resource has a count of at
-/// least 1).
-pub fn lane16_decrement(keys16: &mut [u64], members: u64) {
-    let dec = ONE16 << LANE16_COUNT_SHIFT;
-    for (k, word) in keys16.iter_mut().enumerate() {
-        *word -= LANE16_LUT[(members >> (4 * k)) as usize & 0xF] & dec;
-    }
-}
-
-/// Among the set bits of `cand` (a single-word mask, `n <= 64`), the index
-/// with the smallest packed count in `keys16`, ties broken by the rotating
-/// order starting at `start` — the packed-lane form of
-/// [`min_key_rotating`]. Counts must be at most [`WORD_BITS`] (NRQ
-/// values); `rot` is the [`lane16_rot_table`] for this `n`. The scan is
-/// word-parallel: each candidate lane is compared as `(count << 7) |
-/// rotation position`, so the minimum lane directly encodes the winner
-/// with the correct tie-break and no per-candidate loop runs.
-///
-/// # Panics
-/// Panics if `start >= n`, `n > 64`, `keys16` has fewer than
-/// `lane16_words(n)` words, or `rot` is not a full `n`-start table —
-/// checked in release too.
-pub fn min_lane16_rotating(
-    cand: u64,
-    n: usize,
-    start: usize,
-    keys16: &[u64],
-    rot: &[u64],
-) -> Option<usize> {
-    let nw = lane16_words(n);
-    assert!(
-        start < n,
-        "min_lane16_rotating: start {start} out of range for n = {n}"
-    );
-    assert!(
-        keys16.len() >= nw,
-        "min_lane16_rotating: keys16 has {} words, n = {n} needs {nw}",
-        keys16.len()
-    );
-    assert!(
-        rot.len() >= n * nw,
-        "min_lane16_rotating: rot table has {} words, n = {n} needs {}",
-        rot.len(),
-        n * nw
-    );
-    debug_assert!(n == WORD_BITS || cand >> n == 0, "cand has bits beyond n");
-    if cand == 0 {
-        return None;
-    }
-    let rot = &rot[start * nw..start * nw + nw];
-    let mut acc = SENT16;
-    for k in 0..nw {
-        let lut = LANE16_LUT[(cand >> (4 * k)) as usize & 0xF];
-        let masked = ((keys16[k] + rot[k]) | !lut) & SENT16;
-        acc = min16(acc, masked);
-    }
-    acc = min16(acc, (acc >> 32) | 0x7FFF_7FFF_0000_0000);
-    acc = min16(acc, (acc >> 16) | 0x7FFF_7FFF_7FFF_0000);
-    let rotpos = (acc & 0x7F) as usize;
-    let mut idx = rotpos + start;
-    if idx >= n {
-        idx -= n;
-    }
-    Some(idx)
-}
-
-/// [`min_lane16_rotating`] fused with the grant's NRQ update: when the scan
-/// finds a winner (`cand != 0`), every candidate's packed count is
-/// decremented in the same pass over the lane words — the caller MUST treat
-/// a `Some` return as a grant of the scanned resource. This is the inner
-/// step of the LCF resource loop, where a non-empty candidate set always
-/// produces a grant; fusing the update saves a second walk (and a second
-/// set of lane-mask lookups) over the key words.
-///
-/// # Panics
-/// Same contract as [`min_lane16_rotating`], checked in release too.
-pub fn min_lane16_rotating_grant(
-    cand: u64,
-    n: usize,
-    start: usize,
-    keys16: &mut [u64],
-    rot: &[u64],
-) -> Option<usize> {
-    let nw = lane16_words(n);
-    assert!(
-        start < n,
-        "min_lane16_rotating_grant: start {start} out of range for n = {n}"
-    );
-    assert!(
-        keys16.len() >= nw,
-        "min_lane16_rotating_grant: keys16 has {} words, n = {n} needs {nw}",
-        keys16.len()
-    );
-    assert!(
-        rot.len() >= n * nw,
-        "min_lane16_rotating_grant: rot table has {} words, n = {n} needs {}",
-        rot.len(),
-        n * nw
-    );
-    debug_assert!(n == WORD_BITS || cand >> n == 0, "cand has bits beyond n");
-    if cand == 0 {
-        return None;
-    }
-    let rot = &rot[start * nw..start * nw + nw];
-    let dec = ONE16 << LANE16_COUNT_SHIFT;
-    // Two independent accumulators halve the `min16` dependency chain, and
-    // words with no candidate lanes are skipped outright (no min
-    // contribution, no decrement) — late resources in a heavy-traffic
-    // schedule have few unmatched requesters left, so most words are empty.
-    let mut acc0 = SENT16;
-    let mut acc1 = SENT16;
-    let mut k = 0;
-    while k < nw {
-        let nib = (cand >> (4 * k)) as usize & 0xF;
-        if nib != 0 {
-            let lut = LANE16_LUT[nib];
-            let keys = keys16[k];
-            acc0 = min16(acc0, ((keys + rot[k]) | !lut) & SENT16);
-            keys16[k] = keys - (lut & dec);
+    (best != u64::MAX).then(|| {
+        let idx = start + (best & u64::from(u32::MAX)) as usize;
+        if idx >= n {
+            idx - n
+        } else {
+            idx
         }
-        k += 1;
-        if k >= nw {
-            break;
-        }
-        let nib = (cand >> (4 * k)) as usize & 0xF;
-        if nib != 0 {
-            let lut = LANE16_LUT[nib];
-            let keys = keys16[k];
-            acc1 = min16(acc1, ((keys + rot[k]) | !lut) & SENT16);
-            keys16[k] = keys - (lut & dec);
-        }
-        k += 1;
-    }
-    let mut acc = min16(acc0, acc1);
-    acc = min16(acc, (acc >> 32) | 0x7FFF_7FFF_0000_0000);
-    acc = min16(acc, (acc >> 16) | 0x7FFF_7FFF_7FFF_0000);
-    let rotpos = (acc & 0x7F) as usize;
-    let mut idx = rotpos + start;
-    if idx >= n {
-        idx -= n;
-    }
-    Some(idx)
+    })
 }
 
 /// True if every bit at or beyond `n` is zero (the mask contract).
@@ -946,6 +652,45 @@ mod tests {
         let _ = min_key_rotating(&mask, 128, 0, &key);
     }
 
+    /// The fused kernel must pick exactly `min_key_rotating`'s winner and
+    /// leave the counts as a separate per-member decrement would — at every
+    /// size, every start, on masks and count tables full of ties.
+    #[test]
+    fn min_key_rotating_grant_equals_min_then_decrement() {
+        for n in SIZES {
+            let start_step = if cfg!(miri) { (n / 7).max(1) } else { 1 };
+            for seed in 0..sweep(8) {
+                let mask = mask_for(n, seed.wrapping_mul(0xA076_1D64_78BD_642F));
+                // Counts in 1..=4 over up to 256 members: plenty of ties.
+                let counts: Vec<usize> = (0..n)
+                    .map(|i| 1 + (seed as usize).wrapping_mul(i * 13 + 7) % 4)
+                    .collect();
+                for start in (0..n).step_by(start_step) {
+                    let mut fused = counts.clone();
+                    let got = min_key_rotating_grant(&mask, n, start, &mut fused);
+                    assert_eq!(
+                        got,
+                        min_key_rotating(&mask, n, start, &counts),
+                        "n={n} seed={seed} start={start}"
+                    );
+                    let mut separate = counts.clone();
+                    for (i, count) in separate.iter_mut().enumerate() {
+                        *count -= usize::from(test_bit(&mask, i));
+                    }
+                    assert_eq!(fused, separate, "n={n} seed={seed} start={start}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "min_key_rotating_grant")]
+    fn min_key_rotating_grant_rejects_short_counts_in_release_too() {
+        let mask = vec![0u64; 2];
+        let mut counts = vec![1usize; 64];
+        let _ = min_key_rotating_grant(&mask, 128, 0, &mut counts);
+    }
+
     #[test]
     fn col_masks_dense_and_corner_bits() {
         // Full matrix: every column mask is the all-ports mask.
@@ -982,140 +727,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn min_overlap_rotating_matches_min_key_on_filtered_popcounts() {
-        for n in SIZES {
-            let w = words_for(n);
-            for seed in 0..sweep(12) {
-                let mask = mask_for(n, seed.wrapping_mul(0x94D0_49BB_1331_11EB));
-                let rows: Vec<u64> = (0..n)
-                    .flat_map(|i| {
-                        mask_for(n, seed ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D))
-                    })
-                    .collect();
-                let filter = mask_for(n, seed.rotate_left(17) ^ 0xDEAD_BEEF);
-                let key: Vec<usize> = (0..n)
-                    .map(|i| {
-                        rows[i * w..(i + 1) * w]
-                            .iter()
-                            .zip(&filter)
-                            .map(|(r, f)| (r & f).count_ones() as usize)
-                            .sum()
-                    })
-                    .collect();
-                for start in (0..n).step_by((n / 7).max(1)) {
-                    assert_eq!(
-                        min_overlap_rotating(&mask, n, start, &rows, &filter),
-                        min_key_rotating(&mask, n, start, &key),
-                        "n={n} seed={seed} start={start}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "min_overlap_rotating")]
-    fn min_overlap_rotating_rejects_short_filter_in_release_too() {
-        let mask = vec![0u64; 1];
-        let rows = vec![0u64; 64];
-        let filter: Vec<u64> = Vec::new();
-        let _ = min_overlap_rotating(&mask, 64, 0, &rows, &filter);
-    }
-
-    #[test]
-    fn lane16_pack_and_decrement_roundtrip() {
-        for n in [1, 3, 4, 5, 31, 33, 64] {
-            let rows: Vec<u64> = (0..n).map(|i| mask_for(64, i as u64 + 7)[0]).collect();
-            let mut keys = Vec::new();
-            lane16_pack_popcounts(&rows, n, &mut keys);
-            assert_eq!(keys.len(), lane16_words(n));
-            let lane = |keys: &[u64], i: usize| {
-                ((keys[i / 4] >> (16 * (i % 4))) & 0xFFFF) >> LANE16_COUNT_SHIFT
-            };
-            for (i, row) in rows.iter().enumerate() {
-                assert_eq!(lane(&keys, i), u64::from(row.count_ones()), "n={n} i={i}");
-            }
-            // Decrement a member set (restricted to nonzero lanes, per the
-            // kernel contract); only member lanes drop, by exactly 1.
-            let before: Vec<u64> = (0..n).map(|i| lane(&keys, i)).collect();
-            let nonzero = (0..n).fold(0u64, |m, i| m | (u64::from(before[i] > 0) << i));
-            let members = mask_for(n.min(64), 99)[0] & nonzero;
-            lane16_decrement(&mut keys, members);
-            for (i, &b) in before.iter().enumerate() {
-                let want = b - u64::from(members >> i & 1 == 1);
-                assert_eq!(lane(&keys, i), want, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn min_lane16_rotating_matches_min_key_rotating() {
-        for n in [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 33, 47, 63, 64] {
-            for seed in 0..sweep(16) {
-                let cand = mask_for(n, seed.wrapping_mul(0x9E6C_63D0_876A_68AD))[0];
-                let key: Vec<usize> = (0..n)
-                    .map(|i| ((seed as usize).wrapping_mul(i * 31 + 17) >> 3) % (WORD_BITS + 1))
-                    .collect();
-                let mut keys16 = vec![0u64; lane16_words(n)];
-                for (i, &k) in key.iter().enumerate() {
-                    keys16[i / 4] |= ((k as u64) << LANE16_COUNT_SHIFT) << (16 * (i % 4));
-                }
-                let rot = lane16_rot_table(n);
-                for start in 0..n {
-                    assert_eq!(
-                        min_lane16_rotating(cand, n, start, &keys16, &rot),
-                        min_key_rotating(&[cand], n, start, &key),
-                        "n={n} seed={seed} start={start} cand={cand:#x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "min_lane16_rotating")]
-    fn min_lane16_rotating_rejects_short_keys_in_release_too() {
-        let keys = vec![0u64; 1];
-        let _ = min_lane16_rotating(u64::MAX, 64, 0, &keys, &[]);
-    }
-
-    /// The fused scan+grant kernel must return the same winner as the plain
-    /// scan and leave the keys exactly as a separate `lane16_decrement`
-    /// would.
-    #[test]
-    fn min_lane16_rotating_grant_equals_scan_then_decrement() {
-        for n in [1, 3, 4, 7, 16, 31, 32, 33, 63, 64] {
-            for seed in 0..sweep(8) {
-                let cand = mask_for(n, seed.wrapping_mul(0xA076_1D64_78BD_642F))[0];
-                let mut keys16 = vec![0u64; lane16_words(n)];
-                for i in 0..n {
-                    // Nonzero counts so the post-grant decrement never wraps.
-                    let k = 1 + ((seed as usize).wrapping_mul(i * 13 + 7) >> 2) % WORD_BITS;
-                    keys16[i / 4] |= ((k as u64) << LANE16_COUNT_SHIFT) << (16 * (i % 4));
-                }
-                let rot = lane16_rot_table(n);
-                for start in 0..n {
-                    let mut fused = keys16.clone();
-                    let got = min_lane16_rotating_grant(cand, n, start, &mut fused, &rot);
-                    let want = min_lane16_rotating(cand, n, start, &keys16, &rot);
-                    assert_eq!(got, want, "n={n} seed={seed} start={start}");
-                    let mut separate = keys16.clone();
-                    if got.is_some() {
-                        lane16_decrement(&mut separate, cand);
-                    }
-                    assert_eq!(fused, separate, "n={n} seed={seed} start={start}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "min_lane16_rotating_grant")]
-    fn min_lane16_rotating_grant_rejects_short_keys_in_release_too() {
-        let mut keys = vec![0u64; 1];
-        let _ = min_lane16_rotating_grant(u64::MAX, 64, 0, &mut keys, &[]);
     }
 }

@@ -89,22 +89,15 @@ pub struct CentralLcf {
     // Workhorse state, reused across slots to keep scheduling allocation-free.
     work: RequestMatrix,
     nrq: Vec<usize>,
-    // Word-parallel scratch (bitset backend): the *original* request matrix
-    // as flat `n × words_for(n)` row masks and its transpose as column
-    // masks — neither is mutated during a schedule; grants are tracked in
-    // the `free` (unmatched requesters) and `remaining` (unscheduled
-    // resources) masks instead, with `cand` holding the per-resource
-    // candidate set.
+    // Word-parallel scratch (bitset backend): the request matrix as flat
+    // `n × words_for(n)` row masks and its transpose as column masks —
+    // neither is mutated during a schedule; grants clear bits of `free`
+    // (unmatched requesters), and `cand` holds one resource's live
+    // requesters. `nrq` doubles as the kernel's maintained count table.
     rows: Vec<u64>,
     cols: Vec<u64>,
     free: Vec<u64>,
-    remaining: Vec<u64>,
     cand: Vec<u64>,
-    // Single-word fast path (n <= 64): the NRQ table as packed 16-bit
-    // lanes, consumed by the word-parallel min kernel, plus the
-    // construction-time rotation-position table it scans against.
-    keys16: Vec<u64>,
-    rot16: Vec<u64>,
     #[cfg(feature = "telemetry")]
     tracing: bool,
     #[cfg(feature = "telemetry")]
@@ -141,14 +134,7 @@ impl CentralLcf {
             rows: Vec::with_capacity(n * bitkern::words_for(n)),
             cols: Vec::with_capacity(n * bitkern::words_for(n)),
             free: Vec::with_capacity(bitkern::words_for(n)),
-            remaining: Vec::with_capacity(bitkern::words_for(n)),
             cand: Vec::with_capacity(bitkern::words_for(n)),
-            keys16: Vec::with_capacity(if n <= 64 { bitkern::lane16_words(n) } else { 0 }),
-            rot16: if n <= 64 {
-                bitkern::lane16_rot_table(n)
-            } else {
-                Vec::new()
-            },
             #[cfg(feature = "telemetry")]
             tracing: false,
             #[cfg(feature = "telemetry")]
@@ -435,55 +421,48 @@ impl CentralLcf {
 
     /// The word-parallel kernel: the same Fig. 2 algorithm on multi-word
     /// row masks (`words_for(n)` words per requester, bit `j % 64` of word
-    /// `j / 64`) plus the transposed column masks. Produces grant-for-grant
-    /// identical schedules to [`CentralLcf::schedule_scalar`].
+    /// `j / 64`) plus the transposed column masks, one code path for every
+    /// `n`. Produces grant-for-grant identical schedules to
+    /// [`CentralLcf::schedule_scalar`].
     ///
-    /// Unlike the scalar reference (and the earlier bitset kernel), the
-    /// row/column masks are *never mutated*: a grant only clears one bit in
-    /// `free` (unmatched requesters) and one in `remaining` (unscheduled
-    /// resources). The live requesters of a resource are
-    /// `cols[resource] & free` — exactly the set the old per-bit row
-    /// withdrawal maintained, because withdrawal removed precisely the
-    /// matched requesters' bits. The NRQ key is evaluated lazily per
-    /// candidate as `popcount(rows[req] & remaining)`, which equals the
-    /// maintained count: NRQ decrements happened only for *granted*
-    /// resources (a resource processed without a grant has no unmatched
-    /// requester, so it never contributes to a later candidate's count),
-    /// and `remaining` excludes exactly the granted resources. Enumeration
-    /// order (rotating from the diagonal requester) and the strict-minimum
-    /// tie-break are unchanged, so every grant is identical. This turns the
-    /// two `O(set bits)` per-grant update loops into two `clear_bit` calls,
-    /// which is what makes dense heavy-traffic matrices cheap.
+    /// The row/column masks are never mutated: a grant clears one bit of
+    /// `free` (unmatched requesters), so a resource's live requesters are
+    /// `cols[resource] & free` — exactly the column the scalar reference
+    /// keeps after withdrawing every matched requester's row. The NRQ table
+    /// is filled once with row popcounts and maintained like the scalar
+    /// one: every non-empty candidate set produces a grant, and
+    /// [`bitkern::min_key_rotating_grant`] decrements each live requester's
+    /// count in the same pass that finds the least-choice winner. A matched
+    /// requester's count goes stale, but `free` hides it from every later
+    /// candidate set, so each grant costs one walk over the live requesters
+    /// of one resource and nothing more.
     fn schedule_bitset(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         let n = self.n;
         let w = bitkern::words_for(n);
-        if w == 1 {
-            return self.schedule_bitset_word(requests, out);
-        }
         let (i_off, j_off) = (self.pointer.i, self.pointer.j);
 
         out.reset(n);
         bitkern::load_rows(requests.bits(), &mut self.rows);
         bitkern::col_masks(&self.rows, n, &mut self.cols);
+        for (count, row) in self.nrq.iter_mut().zip(self.rows.chunks_exact(w)) {
+            *count = bitkern::popcount(row);
+        }
         self.free.clear();
         self.free.resize(w, 0);
         bitkern::mask_fill(&mut self.free, n);
-        self.remaining.clear();
-        self.remaining.resize(w, 0);
-        bitkern::mask_fill(&mut self.remaining, n);
         self.cand.clear();
         self.cand.resize(w, 0);
 
         if self.policy == RrPolicy::PriorityDiagonal {
             for res in 0..n {
                 let (di, dj) = self.pointer.diagonal_position(res);
-                if bitkern::test_bit(&self.rows[di * w..(di + 1) * w], dj)
-                    && bitkern::test_bit(&self.free, di)
-                    && !out.output_matched(dj)
-                {
+                self.load_cand(dj);
+                if bitkern::test_bit(&self.cand, di) && !out.output_matched(dj) {
+                    // The diagonal position wins outright; the fused kernel
+                    // runs only for its count update.
+                    bitkern::min_key_rotating_grant(&self.cand, n, di, &mut self.nrq);
                     out.connect(di, dj);
                     bitkern::clear_bit(&mut self.free, di);
-                    bitkern::clear_bit(&mut self.remaining, dj);
                 }
             }
         }
@@ -494,114 +473,38 @@ impl CentralLcf {
                 continue;
             }
             let diag_req = (i_off + res) % n;
+            self.load_cand(resource);
 
-            // Live requesters of this resource: the original column masked
-            // to the still-unmatched inputs.
-            for wi in 0..w {
-                self.cand[wi] = self.cols[resource * w + wi] & self.free[wi];
-            }
-
-            let gnt: Option<usize> = match self.policy {
+            // Smallest NRQ among the live requesters, ties broken in
+            // rotating order from the diagonal requester. Every non-empty
+            // candidate set is granted — by this winner or by a round-robin
+            // fast path below — so the fused count update always applies.
+            let least_choice =
+                bitkern::min_key_rotating_grant(&self.cand, n, diag_req, &mut self.nrq);
+            let gnt = match self.policy {
                 RrPolicy::Diagonal if bitkern::test_bit(&self.cand, diag_req) => Some(diag_req),
                 RrPolicy::SinglePosition if res == 0 && bitkern::test_bit(&self.cand, i_off) => {
                     Some(i_off)
                 }
                 RrPolicy::Row if bitkern::test_bit(&self.cand, i_off) => Some(i_off),
                 RrPolicy::Column if res == 0 => bitkern::rotating_first(&self.cand, n, diag_req),
-                // Smallest NRQ among the live requesters; the rotating
-                // enumeration from the diagonal requester breaks ties
-                // exactly like the scalar scan.
-                _ => bitkern::min_overlap_rotating(
-                    &self.cand,
-                    n,
-                    diag_req,
-                    &self.rows,
-                    &self.remaining,
-                ),
+                _ => least_choice,
             };
 
             if let Some(gnt) = gnt {
                 out.connect(gnt, resource);
                 bitkern::clear_bit(&mut self.free, gnt);
-                bitkern::clear_bit(&mut self.remaining, resource);
             }
         }
     }
 
-    /// Single-word specialization of [`CentralLcf::schedule_bitset`]
-    /// (`n <= 64`): every mask is one `u64` and the NRQ table lives in
-    /// packed 16-bit lanes, maintained by a word-parallel decrement on each
-    /// grant and scanned by [`bitkern::min_lane16_rotating`] — no
-    /// per-candidate loop runs anywhere in the schedule, so even a fully
-    /// dense heavy-traffic matrix costs `O(n · n/4)` word operations
-    /// instead of `Θ(n²/2)` per-bit probes. The maintained lane counts
-    /// track the scalar algorithm exactly: a grant decrements precisely the
-    /// live requesters of the granted resource (the old per-bit NRQ
-    /// update), and matched requesters' stale lanes are masked out of every
-    /// later scan by the `free` mask.
-    fn schedule_bitset_word(&mut self, requests: &RequestMatrix, out: &mut Matching) {
-        let n = self.n;
-        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
-
-        out.reset(n);
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
-        bitkern::lane16_pack_popcounts(&self.rows, n, &mut self.keys16);
-        let mut free: u64 = bitkern::mask_n(n);
-
-        if self.policy == RrPolicy::PriorityDiagonal {
-            for res in 0..n {
-                let (di, dj) = self.pointer.diagonal_position(res);
-                if self.rows[di] >> dj & 1 == 1 && free >> di & 1 == 1 && !out.output_matched(dj) {
-                    let colfree = self.cols[dj] & free;
-                    out.connect(di, dj);
-                    free &= !(1u64 << di);
-                    bitkern::lane16_decrement(&mut self.keys16, colfree);
-                }
-            }
-        }
-
-        for res in 0..n {
-            let resource = (res + j_off) % n;
-            if out.output_matched(resource) {
-                continue;
-            }
-            let diag_req = (i_off + res) % n;
-            // Live requesters of this resource: the original column masked
-            // to the still-unmatched inputs.
-            let cand = self.cols[resource] & free;
-
-            let gnt: Option<usize> = match self.policy {
-                RrPolicy::Diagonal if cand >> diag_req & 1 == 1 => Some(diag_req),
-                RrPolicy::SinglePosition if res == 0 && cand >> i_off & 1 == 1 => Some(i_off),
-                RrPolicy::Row if cand >> i_off & 1 == 1 => Some(i_off),
-                RrPolicy::Column if res == 0 => bitkern::rotating_first(&[cand], n, diag_req),
-                // Smallest NRQ among the live requesters, ties broken in
-                // rotating order from the diagonal requester — one packed
-                // lane-min instead of a per-candidate scan. A winner from
-                // the scan is always granted, so the fused kernel applies
-                // this resource's NRQ decrement in the same pass over the
-                // lane words.
-                _ => {
-                    if let Some(gnt) = bitkern::min_lane16_rotating_grant(
-                        cand,
-                        n,
-                        diag_req,
-                        &mut self.keys16,
-                        &self.rot16,
-                    ) {
-                        out.connect(gnt, resource);
-                        free &= !(1u64 << gnt);
-                    }
-                    continue;
-                }
-            };
-
-            if let Some(gnt) = gnt {
-                out.connect(gnt, resource);
-                free &= !(1u64 << gnt);
-                bitkern::lane16_decrement(&mut self.keys16, cand);
-            }
+    /// Loads `resource`'s live requesters into `cand`: the original column
+    /// masked to the still-unmatched inputs.
+    fn load_cand(&mut self, resource: usize) {
+        let w = self.cand.len();
+        let col = &self.cols[resource * w..(resource + 1) * w];
+        for ((c, &col), &free) in self.cand.iter_mut().zip(col).zip(&self.free) {
+            *c = col & free;
         }
     }
 }

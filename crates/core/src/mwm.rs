@@ -25,7 +25,7 @@
 //! contract: all scratch is constructor-sized and
 //! [`schedule_weighted_into`](WeightedScheduler::schedule_weighted_into)
 //! never allocates. [`MaxWeightMatcher`] additionally implements the
-//! boolean [`Scheduler`](crate::traits::Scheduler) surface (unit weights),
+//! boolean [`Scheduler`] surface (unit weights),
 //! so it slots into the registry, the simulator and the exhaustive model
 //! checks exactly like the other reference matcher.
 

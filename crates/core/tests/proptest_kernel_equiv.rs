@@ -5,7 +5,7 @@
 //! sequence, at any port count. Port counts within one word are covered by
 //! the proptests; the multi-word path (n > 64) by the deterministic
 //! `large_n_*` tests below, which sweep n ∈ {65, 128, 192, 256} across word
-//! boundaries.
+//! boundaries, and for central LCF also by a proptest over n ∈ 65..=192.
 
 use lcf_core::bitkern::Backend;
 use lcf_core::islip::Islip;
@@ -156,6 +156,29 @@ proptest! {
                 kind.build_with_backend(n, 4, sched_seed, Backend::Bitset).0,
                 &matrices,
                 kind.name(),
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// CentralLcf across word boundaries: every fairness policy, any
+    /// multi-word n from one bit past a word to three words, any density.
+    #[test]
+    fn central_lcf_multiword_bitset_matches_scalar(
+        n in 65usize..=192,
+        seed in any::<u64>(),
+        density in 0.0f64..=1.0,
+    ) {
+        let matrices = matrix_sequence(n, seed, 3, density);
+        for policy in ALL_POLICIES {
+            assert_equivalent(
+                Box::new(CentralLcf::with_policy(n, policy).with_backend(Backend::Scalar)),
+                Box::new(CentralLcf::with_policy(n, policy).with_backend(Backend::Bitset)),
+                &matrices,
+                &format!("lcf_central policy {policy:?} n={n}"),
             );
         }
     }

@@ -269,7 +269,7 @@ impl DriveOptions {
 /// After every step the model's scheduler events are drained, re-stamped
 /// with the current slot and appended to the model's trace (telemetry
 /// builds only). Collect the trace afterwards with
-/// [`SwitchModel::take_telemetry`].
+/// `SwitchModel::take_telemetry`.
 ///
 /// Returns the measurement-window statistics.
 pub fn drive(

@@ -4,7 +4,7 @@
 //! Batch entry points ([`run_sim`](crate::runner::run_sim) and friends) run
 //! a simulation to completion and exit. `serve` instead keeps `shards`
 //! independent [`DriveSession`]s alive — one worker thread per shard, seeds
-//! decorrelated with [`replicate_seed`](crate::runner::replicate_seed) —
+//! decorrelated with [`replicate_seed`] —
 //! and advances them in **lock-step measurement windows** behind a
 //! [`Barrier`]:
 //!

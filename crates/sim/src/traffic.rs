@@ -421,7 +421,7 @@ impl FastDest {
 /// (still deterministic, seed-reproducible) RNG stream.
 ///
 /// Per `(slot, input)`: one keystream word for the arrival decision, plus
-/// the [`FastDest`] words per generated packet — about a quarter of the
+/// the `FastDest` words per generated packet — about a quarter of the
 /// legacy path's RNG traffic at high load, with no f64 arithmetic or
 /// division anywhere. For power-of-two `n` with uniform destinations (the
 /// paper's Fig. 12 workload) the gate and the destination fuse into a
