@@ -174,6 +174,17 @@ impl SimConfig {
         if self.pq_cap == 0 || self.voq_cap == 0 || self.outbuf_cap == 0 {
             return Err("queue capacities must be positive".into());
         }
+        // A VOQ set indexes its packet slab with u32.
+        if self
+            .n
+            .checked_mul(self.voq_cap)
+            .is_none_or(|max| u32::try_from(max).is_err())
+        {
+            return Err(format!(
+                "n × voq_cap = {} × {} exceeds the VOQ slab's u32 index range",
+                self.n, self.voq_cap
+            ));
+        }
         if self.iterations == 0 || self.islip_iterations == 0 {
             return Err("iteration budgets must be positive".into());
         }
@@ -274,6 +285,10 @@ mod tests {
 
         let mut cfg = SimConfig::paper_default();
         cfg.measure_slots = 0;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = SimConfig::paper_default();
+        cfg.voq_cap = 1 << 29; // 16 × 2^29 = 2^33 slab nodes
         assert!(cfg.validate().is_err());
     }
 }

@@ -1,5 +1,6 @@
-//! Bounded FIFO queues: packet queues (PQ), virtual output queues (VOQ) and
-//! output buffers are all instances of [`BoundedFifo`].
+//! Bounded FIFO queues: packet queues (PQ) and output buffers are
+//! instances of [`BoundedFifo`]; the `n` virtual output queues (VOQ) of one
+//! input port share a packet slab in a [`VoqSet`].
 
 use crate::packet::Packet;
 use std::collections::VecDeque;
@@ -85,14 +86,58 @@ impl BoundedFifo {
     }
 }
 
+/// Sentinel index: "no node" (end of a lane or of the free list).
+const NIL: u32 = u32::MAX;
+
+/// One slab node: a queued packet and the index of the next node in its
+/// lane (or in the free list), [`NIL`] at the end.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    packet: Packet,
+    next: u32,
+}
+
+/// One VOQ: a FIFO linked through the slab, head to tail. `head` and
+/// `tail` are meaningless while `len == 0`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lane {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
 /// The set of `n` virtual output queues of one input port.
 ///
 /// Packets are sorted by destination on arrival at the input buffer
 /// (Sec. 2); each destination has its own bounded FIFO so packets for
 /// different targets never block each other.
+///
+/// The `n` FIFOs share one packet slab: each destination owns a *lane*
+/// (`head`, `tail`, `len`) linking its packets through the slab, and a
+/// dequeued packet's node goes onto an intrusive free list that the next
+/// enqueue reuses. So one input port owns three heap blocks (lanes, slab,
+/// occupancy bitmap) instead of `n + 2`, and the slab holds at most as many nodes as the peak number of packets
+/// queued at once: it grows to the peak backlog, then never again.
+///
+/// ```
+/// use lcf_sim::packet::Packet;
+/// use lcf_sim::queues::VoqSet;
+///
+/// let mut v = VoqSet::new(4, 2);
+/// assert!(v.push(Packet::new(0, 3, 10)));
+/// assert!(v.push(Packet::new(0, 3, 11)));
+/// assert!(!v.push(Packet::new(0, 3, 12)), "VOQ 3 is full");
+/// assert_eq!(v.total_len(), 2);
+/// assert_eq!(v.pop_for(3).unwrap().generated_at, 10);
+/// ```
 #[derive(Clone, Debug)]
 pub struct VoqSet {
-    queues: Vec<BoundedFifo>,
+    lanes: Vec<Lane>,
+    nodes: Vec<Node>,
+    // Head of the free list threaded through `nodes`, NIL if empty.
+    free: u32,
+    cap_each: u32,
+    total: usize,
     // Occupancy bitmap, 64 destinations per word: bit (dst % 64) of word
     // (dst / 64) is set iff the VOQ for dst is non-empty. Maintained on
     // push/pop so the simulator can build the scheduler's request row with
@@ -102,64 +147,133 @@ pub struct VoqSet {
 
 impl VoqSet {
     /// Creates `n` VOQs of `cap_each` packets each.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`, if `cap_each == 0`, or if `n × cap_each` (the
+    /// most packets the set can hold) does not fit in `u32`, the slab's
+    /// index type.
     pub fn new(n: usize, cap_each: usize) -> Self {
         assert!(n > 0, "VOQ set requires n > 0");
+        assert!(cap_each > 0, "queue capacity must be positive");
+        let fits = n
+            .checked_mul(cap_each)
+            .is_some_and(|max| u32::try_from(max).is_ok());
+        assert!(fits, "n × cap_each must fit in u32 slab indices");
         VoqSet {
-            queues: (0..n).map(|_| BoundedFifo::new(cap_each)).collect(),
+            lanes: vec![Lane::default(); n],
+            nodes: Vec::new(),
+            free: NIL,
+            // lint:allow(no-panic): fits was asserted just above
+            cap_each: u32::try_from(cap_each).expect("checked above"),
+            total: 0,
             occupancy: vec![0; n.div_ceil(64)],
         }
     }
 
     /// Number of VOQs (= switch ports).
     pub fn n(&self) -> usize {
-        self.queues.len()
+        self.lanes.len()
     }
 
     /// Attempts to enqueue a packet into the VOQ of its destination.
+    #[inline]
     #[must_use = "a false return means the packet was dropped"]
     pub fn push(&mut self, p: Packet) -> bool {
         let dst = p.dst_idx();
-        let pushed = self.queues[dst].push(p);
-        if pushed {
-            self.occupancy[dst / 64] |= 1u64 << (dst % 64);
+        let lane = &mut self.lanes[dst];
+        if lane.len >= self.cap_each {
+            return false;
         }
-        pushed
+        let node = Node {
+            packet: p,
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            Self::grow(&mut self.nodes, node)
+        } else {
+            let idx = self.free;
+            let slot = &mut self.nodes[idx as usize];
+            self.free = slot.next;
+            *slot = node;
+            idx
+        };
+        if lane.len == 0 {
+            lane.head = idx;
+            self.occupancy[dst / 64] |= 1u64 << (dst % 64);
+        } else {
+            self.nodes[lane.tail as usize].next = idx;
+        }
+        lane.tail = idx;
+        lane.len += 1;
+        self.total += 1;
+        true
+    }
+
+    /// Appends `node` to the slab and returns its index: the free list is
+    /// empty, so more packets are queued than ever before. Out of line, so
+    /// the inlined `push` carries only the reuse path.
+    #[cold]
+    #[inline(never)]
+    fn grow(nodes: &mut Vec<Node>, node: Node) -> u32 {
+        // The slab holds at most n × cap_each nodes, which `new` asserted
+        // fits in u32 (and NIL = u32::MAX is never reached).
+        // lint:allow(no-panic): the slab never outgrows the bound asserted in new()
+        let idx = u32::try_from(nodes.len()).expect("slab index fits in u32");
+        // lint:allow(hot-path-alloc): the slab grows only past its peak backlog, then recycles freed nodes
+        nodes.push(node);
+        idx
     }
 
     /// True if the VOQ for destination `dst` has room.
+    #[inline]
     pub fn has_room_for(&self, dst: usize) -> bool {
-        !self.queues[dst].is_full()
+        self.lanes[dst].len < self.cap_each
     }
 
     /// True if the VOQ for destination `dst` holds at least one packet —
     /// this is the request bit the scheduler sees.
     pub fn has_packet_for(&self, dst: usize) -> bool {
-        !self.queues[dst].is_empty()
+        self.lanes[dst].len > 0
     }
 
     /// Dequeues the head packet destined for `dst`.
+    #[inline]
     pub fn pop_for(&mut self, dst: usize) -> Option<Packet> {
-        let p = self.queues[dst].pop();
-        if self.queues[dst].is_empty() {
+        let lane = &mut self.lanes[dst];
+        if lane.len == 0 {
+            return None;
+        }
+        let idx = lane.head;
+        let node = &mut self.nodes[idx as usize];
+        let packet = node.packet;
+        lane.head = node.next;
+        lane.len -= 1;
+        if lane.len == 0 {
             self.occupancy[dst / 64] &= !(1u64 << (dst % 64));
         }
-        p
+        node.next = self.free;
+        self.free = idx;
+        self.total -= 1;
+        Some(packet)
     }
 
     /// Peeks at the head packet destined for `dst` (for age-based
     /// schedulers).
     pub fn head_for(&self, dst: usize) -> Option<&Packet> {
-        self.queues[dst].head()
+        let lane = &self.lanes[dst];
+        (lane.len > 0).then(|| &self.nodes[lane.head as usize].packet)
     }
 
-    /// Total packets queued across all VOQs.
+    /// Total packets queued across all VOQs (O(1): kept as a running
+    /// count).
+    #[inline]
     pub fn total_len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.total
     }
 
     /// Occupancy of the VOQ for destination `dst`.
     pub fn len_for(&self, dst: usize) -> usize {
-        self.queues[dst].len()
+        self.lanes[dst].len as usize
     }
 
     /// The occupancy bitmap, 64 destinations per word: bit `dst % 64` of
@@ -290,6 +404,61 @@ mod tests {
                 "bit {dst}"
             );
         }
+    }
+
+    #[test]
+    fn slab_never_exceeds_peak_backlog() {
+        // Freed nodes are reused before the slab grows, so its length is
+        // the peak number of packets queued at once, whatever the mix of
+        // lanes those packets were in.
+        let mut v = VoqSet::new(8, 4);
+        let mut peak = 0;
+        for round in 0..50usize {
+            for k in 0..(round % 7 + 1) {
+                let _ = v.push(pkt((round * 3 + k) % 8));
+            }
+            peak = peak.max(v.total_len());
+            assert!(v.nodes.len() <= peak, "round {round}");
+            for k in 0..(round % 5 + 1) {
+                v.pop_for((round + k) % 8);
+            }
+        }
+        assert_eq!(v.nodes.len(), peak, "the slab grew to the peak, no further");
+        // Drain and refill to the same peak: no growth at all.
+        for dst in 0..8 {
+            while v.pop_for(dst).is_some() {}
+        }
+        assert_eq!(v.total_len(), 0);
+        for k in 0..peak {
+            assert!(v.push(pkt(k % 8)));
+        }
+        assert_eq!(v.nodes.len(), peak);
+    }
+
+    #[test]
+    fn lanes_interleave_in_the_slab_and_stay_fifo() {
+        let mut v = VoqSet::new(3, 4);
+        for t in 0..4 {
+            for dst in 0..3 {
+                assert!(v.push(Packet::new(0, dst, t)));
+            }
+        }
+        // Free a node in lane 1 and reuse it from lane 2's tail.
+        assert_eq!(v.pop_for(1).unwrap().generated_at, 0);
+        assert_eq!(v.pop_for(2).unwrap().generated_at, 0);
+        assert!(v.push(Packet::new(0, 2, 9)));
+        let order: Vec<u64> = std::iter::from_fn(|| v.pop_for(2))
+            .map(|p| p.generated_at)
+            .collect();
+        assert_eq!(order, [1, 2, 3, 9]);
+        assert_eq!(v.head_for(1).unwrap().generated_at, 1);
+        assert_eq!(v.total_len(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in u32")]
+    fn slab_index_bound_is_checked_at_construction() {
+        let _ = VoqSet::new(1 << 16, 1 << 16);
     }
 
     #[test]

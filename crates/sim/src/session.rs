@@ -57,7 +57,8 @@ pub struct WindowReport {
     /// Latency samples recorded during the window (delivered packets that
     /// were generated inside the measurement phase).
     pub latency_samples: u64,
-    /// Mean queueing delay of this window's latency samples (0 if none).
+    /// Mean queueing delay of this window's latency samples (0 if none):
+    /// the exact delay sum of the window divided by its sample count.
     pub mean_latency: f64,
     /// Packets buffered anywhere in the model at the end of the window.
     pub backlog: usize,
@@ -216,7 +217,7 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
         let delivered0 = self.stats.delivered;
         let dropped0 = self.stats.dropped();
         let samples0 = self.stats.latency_samples();
-        let latency_sum0 = self.stats.mean_latency() * samples0 as f64;
+        let latency_sum0 = self.stats.latency_sum();
 
         // The sampler is taken out of the session for the duration of the
         // loop, so the per-slot body has no `Option` probe at all (per-slot
@@ -242,7 +243,7 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
         let mean_latency = if window_samples == 0 {
             0.0
         } else {
-            (self.stats.mean_latency() * samples1 as f64 - latency_sum0) / window_samples as f64
+            (self.stats.latency_sum() - latency_sum0) as f64 / window_samples as f64
         };
         let (occupancy, mean_backlog) = match self.occupancy.as_mut() {
             Some(s) if n_slots > 0 => {

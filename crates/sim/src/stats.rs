@@ -182,6 +182,9 @@ pub struct SimStats {
     /// Packets transmitted on an output link.
     pub delivered: u64,
     latency: Welford,
+    // Exact sum of the recorded delays, next to the Welford mean: window
+    // means are differences of this sum, which floating point cannot give.
+    latency_sum: u64,
     histogram: Histogram,
     service: ServiceMatrix,
 }
@@ -197,6 +200,7 @@ impl SimStats {
             dropped_queue: 0,
             delivered: 0,
             latency: Welford::new(),
+            latency_sum: 0,
             histogram: Histogram::new(max_latency_bucket),
             service: ServiceMatrix::new(n),
         }
@@ -224,6 +228,7 @@ impl SimStats {
         if p.generated_at >= self.measure_start {
             let d = p.delay_at(slot);
             self.latency.add(d as f64);
+            self.latency_sum += d;
             self.histogram.add(d);
         }
     }
@@ -241,6 +246,15 @@ impl SimStats {
     /// Number of latency samples.
     pub fn latency_samples(&self) -> u64 {
         self.latency.count()
+    }
+
+    /// Exact sum of the queueing delays of all latency samples, in slots.
+    /// The mean delay over any stretch of the run is the difference of two
+    /// readings divided by the difference of [`latency_samples`].
+    ///
+    /// [`latency_samples`]: SimStats::latency_samples
+    pub fn latency_sum(&self) -> u64 {
+        self.latency_sum
     }
 
     /// Latency quantile (`0.5` = median, `0.99` = p99) as a scalar; when
@@ -425,6 +439,7 @@ mod tests {
             "warm-up packet excluded from latency"
         );
         assert_eq!(st.mean_latency(), 3.0);
+        assert_eq!(st.latency_sum(), 3, "the warm-up delay is not summed");
     }
 
     #[test]

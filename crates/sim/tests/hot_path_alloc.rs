@@ -1,0 +1,115 @@
+//! Hot-path memory contract, measured: once the queues of an overloaded
+//! switch are saturated, `IqSwitch::step` performs no heap allocation at
+//! all — no per-slot buffers, and no further VOQ slab growth.
+//!
+//! A counting global allocator wraps the system one. The counter is
+//! thread-local, so the test harness's other threads cannot disturb it.
+
+use lcf_core::bitkern::Backend;
+use lcf_core::registry::SchedulerKind;
+use lcf_sim::stats::SimStats;
+use lcf_sim::switch::{IqSwitch, QueueMode};
+use lcf_sim::traffic::{Bernoulli, DestPattern};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` so an allocation during thread teardown is not a panic.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// wrapper only bumps a thread-local counter, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+const N: usize = 16;
+const VOQ_CAP: usize = 4;
+const PQ_CAP: usize = 8;
+
+/// Steps an overloaded switch (every input offers a packet each slot, half
+/// of them to one hot output) until its queues are saturated, then counts
+/// the allocations of `measured` further slots.
+fn steady_state_allocations(kind: SchedulerKind, measured: u64) -> u64 {
+    let (scheduler, _) = kind.build_with_backend(N, 4, 7, Backend::Bitset);
+    let mut sw = IqSwitch::new(N, scheduler, QueueMode::Voq { cap: VOQ_CAP }, PQ_CAP);
+    let pattern = DestPattern::Hotspot {
+        hot: 3,
+        fraction: 0.5,
+    };
+    let mut traffic = Bernoulli::new(N, 1.0, pattern);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut stats = SimStats::new(N, 0, 256);
+
+    let warmup = 2_000;
+    for slot in 0..warmup {
+        sw.step(slot, &mut traffic, &mut rng, &mut stats);
+    }
+    // The hot output's VOQs and the PQs behind them are full: the switch
+    // is dropping, and every queue has been as deep as it will ever be.
+    assert!(
+        stats.dropped_pq > 0,
+        "{kind:?}: warm-up must saturate the PQs"
+    );
+
+    let before = allocations();
+    for slot in warmup..warmup + measured {
+        sw.step(slot, &mut traffic, &mut rng, &mut stats);
+    }
+    let after = allocations();
+    assert!(stats.delivered > 0);
+    after - before
+}
+
+#[test]
+fn iq_switch_step_is_allocation_free_once_saturated() {
+    for kind in [SchedulerKind::LcfCentral, SchedulerKind::Islip] {
+        let allocs = steady_state_allocations(kind, 5_000);
+        assert_eq!(
+            allocs, 0,
+            "{kind:?}: IqSwitch::step allocated in steady state"
+        );
+    }
+}
+
+#[test]
+fn the_counter_sees_allocations() {
+    let before = allocations();
+    let v: Vec<u64> = Vec::with_capacity(8);
+    let after = allocations();
+    assert_eq!(after - before, 1);
+    drop(v);
+}

@@ -71,6 +71,47 @@ fn windowed_stepping_matches_one_shot_drive() {
     }
 }
 
+/// Window means are exact: each report's `mean_latency` is the window's
+/// exact delay sum over its sample count, and the window sums of any
+/// partition of the measurement phase add up to the one-shot sum.
+#[test]
+fn window_latency_sums_partition_the_one_shot_sum() {
+    let (mut model, mut traffic, mut rng) = build(SchedulerKind::LcfCentral, Backend::Bitset, 5);
+    let opts = DriveOptions::new(WARMUP, MEASURE, BUCKET);
+    let oneshot = drive(&mut model, &mut traffic, &mut rng, &opts);
+    assert!(oneshot.latency_samples() > 0);
+
+    let partitions: [Vec<u64>; 4] = [
+        vec![MEASURE],
+        vec![1, 999, 1_000],
+        std::iter::repeat_n(3, 666).chain([2]).collect(),
+        vec![7, 1_993],
+    ];
+    for windows in partitions {
+        assert_eq!(windows.iter().sum::<u64>(), MEASURE);
+        let (model, traffic, rng) = build(SchedulerKind::LcfCentral, Backend::Bitset, 5);
+        let mut session = DriveSession::new(model, traffic, rng, BUCKET);
+        session.step_window(WARMUP);
+        session.begin_measurement();
+        let (mut sum, mut samples) = (0u64, 0u64);
+        for w in windows {
+            let sum0 = session.stats().latency_sum();
+            let report = session.step_window(w);
+            let window_sum = session.stats().latency_sum() - sum0;
+            let expected = if report.latency_samples == 0 {
+                0.0
+            } else {
+                window_sum as f64 / report.latency_samples as f64
+            };
+            assert_eq!(report.mean_latency.to_bits(), expected.to_bits());
+            sum += window_sum;
+            samples += report.latency_samples;
+        }
+        assert_eq!(sum, oneshot.latency_sum());
+        assert_eq!(samples, oneshot.latency_samples());
+    }
+}
+
 /// Same equivalence with telemetry enabled: the decision trace and metrics
 /// registry are byte-identical whether the measurement ran as one window or
 /// many.

@@ -172,7 +172,7 @@ impl Histogram {
     }
 
     /// Value at quantile `q ∈ [0, 1]`. Returns [`Quantile::Overflow`] when
-    /// the rank falls among overflowed samples, [`Quantile::Exact(0)`] for
+    /// the rank falls among overflowed samples, [`Quantile::Exact`]`(0)` for
     /// an empty histogram.
     pub fn quantile(&self, q: f64) -> Quantile {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
