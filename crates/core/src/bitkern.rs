@@ -3,9 +3,11 @@
 //! A request-matrix row for an `n`-port switch is a mask of
 //! `words_for(n)` 64-bit words: bit `dst % 64` of word `dst / 64` is set
 //! iff the row requests destination `dst`. This is the packed layout of
-//! [`BitMatrix::row_words`]/[`BitMatrix::set_row_words`] and of the
-//! simulator's `VoqSet::occupancy_words`, so request rows flow from VOQ
-//! occupancy bitmaps into the kernels without any per-bit translation.
+//! [`BitMatrix::row_words`](crate::bitmat::BitMatrix::row_words) and of the
+//! simulator's `VoqSet::occupancy_words`. A column mask has the same
+//! layout over requesters. [`RequestMatrix`](crate::request::RequestMatrix)
+//! keeps both orientations current as requests change, so the kernels
+//! read rows and columns in place and never copy or transpose the matrix.
 //! On these masks the scans that dominate scheduler inner loops collapse
 //! into word operations:
 //!
@@ -14,6 +16,8 @@
 //! * rotating-priority selection ("first requester at or after the
 //!   pointer") is a short word walk with two `trailing_zeros` probes on a
 //!   split boundary word,
+//! * least-count selection with a rotating tie-break is one ascending walk
+//!   keeping the minimum of the packed key `(count << 32) | rotation`,
 //! * NRQ maintenance is `count_ones` over row words,
 //! * uniform random choice among candidates is a popcount plus a
 //!   k-th-set-bit select.
@@ -32,8 +36,6 @@
 //! All multi-word entry points check their length/range contracts with
 //! release-mode asserts: a caller that hands a short mask or an
 //! out-of-range index gets a loud panic, never a silently truncated mask.
-
-use crate::bitmat::BitMatrix;
 
 /// Bits per mask word.
 pub const WORD_BITS: usize = 64;
@@ -165,90 +167,6 @@ pub fn popcount(mask: &[u64]) -> usize {
     mask.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Loads every row of `m` into `rows` as one flat `n × words_for(n)` block:
-/// row `i` occupies `rows[i * w..(i + 1) * w]` in the [`BitMatrix::row_words`]
-/// layout. Allocation-free once `rows` has capacity for `n * w` words.
-pub fn load_rows(m: &BitMatrix, rows: &mut Vec<u64>) {
-    rows.clear();
-    rows.extend_from_slice(m.all_words());
-}
-
-/// Transposes the leading `sub × sub` corner of a 64×64 bit block in
-/// place, where `sub` is rounded up to a power of two: bit `j` of word `i`
-/// moves to bit `i` of word `j`. Masked XOR block swaps (the recursive
-/// half-block scheme from Hacker's Delight §7-3) — no per-bit work. Words
-/// and bits at or beyond `sub` must be zero; they are left untouched, so
-/// small matrices (the paper's n = 16/32 regimes) skip the outer stages
-/// entirely: `sub/2 * log2(sub)` swap steps instead of a fixed `32 * 6`.
-fn transpose64(a: &mut [u64; WORD_BITS], sub: usize) {
-    let s = sub.next_power_of_two();
-    let mut j = s >> 1;
-    if j == 0 {
-        return; // 1×1 block: transpose is the identity
-    }
-    // Stage mask: the high j bits of each 2j-bit group.
-    let mut m: u64 = {
-        let group = ((1u64 << j) - 1) << j;
-        let mut mm = 0u64;
-        let mut sh = 0;
-        while sh < WORD_BITS {
-            mm |= group << sh;
-            sh += 2 * j;
-        }
-        mm
-    };
-    while j != 0 {
-        let mut k = 0;
-        while k < s {
-            let t = (a[k] ^ (a[k + j] << j)) & m;
-            a[k] ^= t;
-            a[k + j] ^= t >> j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m >> j;
-    }
-}
-
-/// Computes per-column masks (the transpose): bit `i % 64` of word `i / 64`
-/// of column `j`'s mask (at `cols[j * w..(j + 1) * w]`) is bit `j` of row
-/// `i`. Word-parallel: the matrix is processed as `w²` 64×64 blocks, each
-/// transposed with `transpose64`'s masked XOR swaps; all-zero blocks are
-/// skipped, so sparse matrices stay cheap while dense ones never pay a
-/// per-set-bit loop.
-///
-/// # Panics
-/// Panics if `rows.len() != n * words_for(n)`.
-pub fn col_masks(rows: &[u64], n: usize, cols: &mut Vec<u64>) {
-    let w = words_for(n);
-    assert_eq!(rows.len(), n * w, "col_masks: rows not n x w for n = {n}");
-    cols.clear();
-    cols.resize(n * w, 0);
-    let mut block = [0u64; WORD_BITS];
-    for bi in 0..w {
-        let i_lo = bi * WORD_BITS;
-        let i_n = (n - i_lo).min(WORD_BITS);
-        for bj in 0..w {
-            let mut any = 0u64;
-            for r in 0..i_n {
-                let word = rows[(i_lo + r) * w + bj];
-                block[r] = word;
-                any |= word;
-            }
-            if any == 0 {
-                continue; // cols is pre-zeroed; skip the empty block
-            }
-            let j_lo = bj * WORD_BITS;
-            let j_n = (n - j_lo).min(WORD_BITS);
-            block[i_n..].fill(0);
-            transpose64(&mut block, i_n.max(j_n));
-            for c in 0..j_n {
-                cols[(j_lo + c) * w + bi] = block[c];
-            }
-        }
-    }
-}
-
 /// First set bit of `mask` in the rotating order
 /// `start, start+1, …, start+n-1 (mod n)` — the word-parallel form of
 /// [`select_rotating`](crate::arbiter::select_rotating). Bits of `mask` at
@@ -321,106 +239,101 @@ pub fn kth_set_bit(mask: &[u64], k: usize) -> usize {
 /// Among the set bits of `mask`, the index minimizing `key`, ties broken by
 /// the rotating order starting at `start` — the word-parallel form of
 /// [`min_rotating`](crate::arbiter::min_rotating) restricted to mask
-/// membership. Bits of `mask` at or beyond `n` must be zero.
+/// membership. Every member's key must be below `2^32`. Bits of `mask` at
+/// or beyond `n` must be zero.
 ///
 /// # Panics
-/// Panics if `start >= n`, `mask.len() != words_for(n)` or `key` is shorter
-/// than `n` — checked in release too.
+/// Panics if `start >= n`, `n` does not fit in 32 bits,
+/// `mask.len() != words_for(n)`, `key` is shorter than `n` or a member's
+/// key is `2^32` or more — checked in release too.
 pub fn min_key_rotating(mask: &[u64], n: usize, start: usize, key: &[usize]) -> Option<usize> {
-    let w = words_for(n);
-    assert!(
-        start < n,
-        "min_key_rotating: start {start} out of range for n = {n}"
-    );
-    assert_eq!(
-        mask.len(),
-        w,
-        "min_key_rotating: mask has {} words, n = {n} needs {w}",
-        mask.len()
-    );
-    assert!(key.len() >= n, "min_key_rotating: key table shorter than n");
-    debug_assert!(excess_is_zero(mask, n), "mask has bits beyond n");
-    let (sw, sb) = (start / WORD_BITS, start % WORD_BITS);
-    // Visiting [start, n) ascending then [0, start) ascending enumerates
-    // the candidates in exactly the rotating order, so keeping the first
-    // strict minimum reproduces the scalar tie-break.
-    let mut best: Option<(usize, usize)> = None; // (key, idx)
-    let mut consider = |wi: usize, word: u64| {
-        let mut word = word;
-        while word != 0 {
-            let idx = wi * WORD_BITS + word.trailing_zeros() as usize;
-            word &= word - 1;
-            let kv = key[idx];
-            match best {
-                Some((bk, _)) if bk <= kv => {}
-                _ => best = Some((kv, idx)),
-            }
-        }
-    };
-    consider(sw, mask[sw] & (u64::MAX << sb));
-    for (wi, &word) in mask.iter().enumerate().skip(sw + 1) {
-        consider(wi, word);
-    }
-    for (wi, &word) in mask.iter().enumerate().take(sw) {
-        consider(wi, word);
-    }
-    consider(sw, mask[sw] & !(u64::MAX << sb));
-    best.map(|(_, idx)| idx)
+    check_min_walk("min_key_rotating", "key", mask, n, start, key.len());
+    min_packed_walk(mask, n, start, |i| key[i])
 }
 
 /// [`min_key_rotating`] fused with a grant's count update: returns the same
 /// index, and decrements `counts[i]` for every member `i` of `mask` in the
 /// same pass. This is central LCF's per-resource step — the live requesters
-/// of a granted resource each lose one outstanding request.
-///
-/// One ascending walk over the set bits keeps the branchless minimum of the
-/// packed key `(counts[i] << 32) | ((i - start) mod n)`: the smallest count
-/// wins, and among equal counts the first index in the rotating order from
-/// `start`. Every member's count must be at least 1 and below `2^32`. Bits
-/// of `mask` at or beyond `n` must be zero.
+/// of a granted resource each lose one outstanding request. Every member's
+/// count must be at least 1 and below `2^32`. Bits of `mask` at or beyond
+/// `n` must be zero.
 ///
 /// # Panics
 /// Panics if `start >= n`, `n` does not fit in 32 bits,
-/// `mask.len() != words_for(n)` or `counts` is shorter than `n` — checked
-/// in release too.
+/// `mask.len() != words_for(n)`, `counts` is shorter than `n` or a member's
+/// count is `2^32` or more — checked in release too.
 pub fn min_key_rotating_grant(
     mask: &[u64],
     n: usize,
     start: usize,
     counts: &mut [usize],
 ) -> Option<usize> {
+    check_min_walk(
+        "min_key_rotating_grant",
+        "count",
+        mask,
+        n,
+        start,
+        counts.len(),
+    );
+    min_packed_walk(mask, n, start, |i| {
+        let count = counts[i];
+        counts[i] = count - 1;
+        count
+    })
+}
+
+/// The release-mode argument contract of the two minimum walks.
+fn check_min_walk(name: &str, table: &str, mask: &[u64], n: usize, start: usize, len: usize) {
     let w = words_for(n);
     assert!(
         start < n && n <= u32::MAX as usize,
-        "min_key_rotating_grant: start {start} out of range for n = {n}"
+        "{name}: start {start} out of range for n = {n}"
     );
     assert_eq!(
         mask.len(),
         w,
-        "min_key_rotating_grant: mask has {} words, n = {n} needs {w}",
+        "{name}: mask has {} words, n = {n} needs {w}",
         mask.len()
     );
-    assert!(
-        counts.len() >= n,
-        "min_key_rotating_grant: count table shorter than n"
-    );
+    assert!(len >= n, "{name}: {table} table shorter than n");
     debug_assert!(excess_is_zero(mask, n), "mask has bits beyond n");
+}
+
+/// One ascending walk over the set bits of `mask`, keeping the branchless
+/// minimum of the packed key `(key(i) << 32) | ((i - start) mod n)`: the
+/// smallest key wins, and among equal keys the first index in the rotating
+/// order from `start` — exactly the scalar tie-break. `key` is called once
+/// per member, in ascending order.
+#[inline(always)]
+fn min_packed_walk(
+    mask: &[u64],
+    n: usize,
+    start: usize,
+    mut key: impl FnMut(usize) -> usize,
+) -> Option<usize> {
     let mut best = u64::MAX;
+    // The OR of every key: one compare after the walk proves each fits.
+    let mut keys = 0usize;
     for (wi, &word) in mask.iter().enumerate() {
         let mut word = word;
         while word != 0 {
             let idx = wi * WORD_BITS + word.trailing_zeros() as usize;
             word &= word - 1;
-            let count = counts[idx];
-            counts[idx] = count - 1;
+            let k = key(idx);
+            keys |= k;
             let rot = if idx >= start {
                 idx - start
             } else {
                 idx + n - start
             };
-            best = best.min((count as u64) << 32 | rot as u64);
+            best = best.min((k as u64) << 32 | rot as u64);
         }
     }
+    assert!(
+        keys <= u32::MAX as usize,
+        "a key does not fit in 32 bits (keys OR to {keys:#x})"
+    );
     (best != u64::MAX).then(|| {
         let idx = start + (best & u64::from(u32::MAX)) as usize;
         if idx >= n {
@@ -560,25 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn load_rows_and_col_masks_transpose() {
-        for n in [37, 64, 65, 130, 200] {
-            let m = BitMatrix::from_fn(n, |i, j| (i * 7 + j * 3) % 5 == 0);
-            let w = words_for(n);
-            let mut rows = Vec::new();
-            load_rows(&m, &mut rows);
-            assert_eq!(rows.len(), n * w);
-            let mut cols = Vec::new();
-            col_masks(&rows, n, &mut cols);
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(test_bit(&rows[i * w..(i + 1) * w], j), m.get(i, j));
-                    assert_eq!(test_bit(&cols[j * w..(j + 1) * w], i), m.get(i, j));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn rotating_first_matches_select_rotating() {
         for n in SIZES {
             for seed in 0..sweep(20) {
@@ -632,13 +526,18 @@ mod tests {
                 let key: Vec<usize> = (0..n)
                     .map(|i| (seed as usize).wrapping_mul(i + 3) % 5)
                     .collect();
-                for start in (0..n).step_by((n / 7).max(1)) {
-                    let scalar = min_rotating(n, start, |i| test_bit(&mask, i).then_some(key[i]));
-                    assert_eq!(
-                        min_key_rotating(&mask, n, start, &key),
-                        scalar,
-                        "n={n} seed={seed} start={start}"
-                    );
+                // The same ties at the top of the packed key's 32-bit range.
+                let high: Vec<usize> = key.iter().map(|&k| u32::MAX as usize - k % 2).collect();
+                for key in [&key, &high] {
+                    for start in (0..n).step_by((n / 7).max(1)) {
+                        let scalar =
+                            min_rotating(n, start, |i| test_bit(&mask, i).then_some(key[i]));
+                        assert_eq!(
+                            min_key_rotating(&mask, n, start, key),
+                            scalar,
+                            "n={n} seed={seed} start={start}"
+                        );
+                    }
                 }
             }
         }
@@ -650,6 +549,13 @@ mod tests {
         let mask = vec![0u64; 2];
         let key = vec![0usize; 64];
         let _ = min_key_rotating(&mask, 128, 0, &key);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 32 bits")]
+    fn min_key_rotating_rejects_wide_key_in_release_too() {
+        let key = [1usize << 32, 0];
+        let _ = min_key_rotating(&[0b11], 2, 0, &key);
     }
 
     /// The fused kernel must pick exactly `min_key_rotating`'s winner and
@@ -689,43 +595,5 @@ mod tests {
         let mask = vec![0u64; 2];
         let mut counts = vec![1usize; 64];
         let _ = min_key_rotating_grant(&mask, 128, 0, &mut counts);
-    }
-
-    #[test]
-    fn col_masks_dense_and_corner_bits() {
-        // Full matrix: every column mask is the all-ports mask.
-        for n in SIZES {
-            let w = words_for(n);
-            let mut full = vec![0u64; w];
-            mask_fill(&mut full, n);
-            let rows: Vec<u64> = (0..n).flat_map(|_| full.clone()).collect();
-            let mut cols = Vec::new();
-            col_masks(&rows, n, &mut cols);
-            for j in 0..n {
-                assert_eq!(&cols[j * w..(j + 1) * w], &full[..], "n = {n} j = {j}");
-            }
-        }
-        // Single bits at the four matrix corners land at the four
-        // transposed corners, with everything else zero.
-        for n in SIZES {
-            let w = words_for(n);
-            let mut rows = vec![0u64; n * w];
-            set_bit(&mut rows[0..w], 0);
-            set_bit(&mut rows[0..w], n - 1);
-            set_bit(&mut rows[(n - 1) * w..], 0);
-            set_bit(&mut rows[(n - 1) * w..], n - 1);
-            let mut cols = Vec::new();
-            col_masks(&rows, n, &mut cols);
-            for j in 0..n {
-                let col = &cols[j * w..(j + 1) * w];
-                if j == 0 || j == n - 1 {
-                    let want = if n == 1 { 1 } else { 2 };
-                    assert_eq!(popcount(col), want, "n = {n} j = {j}");
-                    assert!(test_bit(col, 0) && test_bit(col, n - 1), "n = {n} j = {j}");
-                } else {
-                    assert_eq!(popcount(col), 0, "n = {n} j = {j}");
-                }
-            }
-        }
     }
 }

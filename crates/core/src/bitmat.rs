@@ -69,15 +69,6 @@ impl BitMatrix {
         self.words_per_row
     }
 
-    /// All rows' words as one flat row-major slice
-    /// (`n * words_per_row()` words) — the same layout
-    /// [`BitMatrix::row_words`] exposes per row. Lets word-parallel kernels
-    /// ingest the whole matrix with a single copy.
-    #[inline]
-    pub fn all_words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// The words of `row`, least-significant bit = column 0. Bits at or
     /// beyond column `n` are always zero.
     #[inline]
@@ -97,6 +88,17 @@ impl BitMatrix {
     /// Panics if `words.len() != self.words_per_row()` or if a bit beyond
     /// column `n` is set.
     pub fn set_row_words(&mut self, row: usize, words: &[u64]) {
+        self.set_row_words_with(row, words, |_| {});
+    }
+
+    /// [`BitMatrix::set_row_words`] that also calls `changed(col)` for
+    /// every column whose bit the new words flip, in ascending order.
+    pub(crate) fn set_row_words_with(
+        &mut self,
+        row: usize,
+        words: &[u64],
+        mut changed: impl FnMut(usize),
+    ) {
         assert!(row < self.n, "row out of range");
         assert_eq!(words.len(), self.words_per_row, "word count mismatch");
         if let Some(&last) = words.last() {
@@ -105,7 +107,15 @@ impl BitMatrix {
             assert_eq!(excess, 0, "bits beyond column n must be zero");
         }
         let start = row * self.words_per_row;
-        self.words[start..start + self.words_per_row].copy_from_slice(words);
+        let current = &mut self.words[start..start + self.words_per_row];
+        for (wi, (old, &new)) in current.iter_mut().zip(words).enumerate() {
+            let mut flipped = *old ^ new;
+            *old = new;
+            while flipped != 0 {
+                changed(wi * 64 + flipped.trailing_zeros() as usize);
+                flipped &= flipped - 1;
+            }
+        }
     }
 
     #[inline]
@@ -130,6 +140,13 @@ impl BitMatrix {
         } else {
             self.words[w] &= !mask;
         }
+    }
+
+    /// Flips the bit at `(row, col)`.
+    #[inline]
+    pub(crate) fn toggle(&mut self, row: usize, col: usize) {
+        let (w, mask) = self.index(row, col);
+        self.words[w] ^= mask;
     }
 
     /// Number of set bits in `row`.
@@ -168,13 +185,6 @@ impl BitMatrix {
         self.words[start..start + self.words_per_row].fill(0);
     }
 
-    /// Clears every bit in `col`.
-    pub fn clear_col(&mut self, col: usize) {
-        for row in 0..self.n {
-            self.set(row, col, false);
-        }
-    }
-
     /// Clears the whole matrix.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -193,11 +203,6 @@ impl BitMatrix {
                 0
             },
         }
-    }
-
-    /// Iterates over the row indices of the set bits in `col`, ascending.
-    pub fn col_ones(&self, col: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&i| self.get(i, col))
     }
 
     /// Iterates over all set `(row, col)` positions in row-major order.
@@ -334,15 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_row_and_col() {
+    fn clear_row_and_all() {
         let mut m = BitMatrix::from_fn(6, |_, _| true);
         assert_eq!(m.count(), 36);
         m.clear_row(2);
         assert_eq!(m.count(), 30);
         assert!(!m.row_any(2));
-        m.clear_col(4);
-        assert_eq!(m.count(), 25);
-        assert_eq!(m.col_count(4), 0);
+        assert_eq!(m.col_count(4), 5);
         m.clear();
         assert!(m.is_empty());
     }
@@ -355,16 +358,6 @@ mod tests {
         m.set(2, 1, true);
         let positions: Vec<(usize, usize)> = m.ones().collect();
         assert_eq!(positions, vec![(0, 2), (1, 0), (2, 1)]);
-    }
-
-    #[test]
-    fn col_ones_matches_get() {
-        let m = BitMatrix::from_fn(9, |i, j| (i + j) % 3 == 0);
-        for j in 0..9 {
-            let via_iter: Vec<usize> = m.col_ones(j).collect();
-            let via_get: Vec<usize> = (0..9).filter(|&i| m.get(i, j)).collect();
-            assert_eq!(via_iter, via_get);
-        }
     }
 
     #[test]

@@ -67,9 +67,9 @@ impl IterationTrace {
 /// in ascending port order, so a stateful rule (PIM's RNG) sees the same
 /// call sequence as the scheduler's scalar reference kernel.
 pub(crate) trait IterRule {
-    /// Called before each grant step with the flat `n × words_for(n)`
-    /// request rows and the mask of still-unmatched outputs.
-    fn before_grant(&mut self, _rows: &[u64], _unmatched_out: &[u64]) {}
+    /// Called before each grant step with the request matrix and the mask
+    /// of still-unmatched outputs.
+    fn before_grant(&mut self, _requests: &RequestMatrix, _unmatched_out: &[u64]) {}
 
     /// The input output `j` grants, among the set bits of `cand` (its
     /// unmatched requesters); `None` iff `cand` is empty.
@@ -89,10 +89,8 @@ pub(crate) trait IterRule {
 #[derive(Clone, Debug)]
 pub(crate) struct IterEngine {
     n: usize,
-    // Flat `n × words_for(n)` request rows, column masks and per-input
-    // grant masks, plus single-mask scratch.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
+    // Flat `n × words_for(n)` per-input grant masks, plus single-mask
+    // scratch.
     grant_mask: Vec<u64>,
     unmatched_in: Vec<u64>,
     unmatched_out: Vec<u64>,
@@ -108,8 +106,6 @@ impl IterEngine {
         let w = bitkern::words_for(n);
         IterEngine {
             n,
-            rows: Vec::with_capacity(n * w),
-            cols: Vec::with_capacity(n * w),
             grant_mask: vec![0; n * w],
             unmatched_in: vec![0; w],
             unmatched_out: vec![0; w],
@@ -184,7 +180,9 @@ impl IterEngine {
 
     /// Runs one scheduling cycle of up to `iterations` request/grant/accept
     /// iterations into `out`, selecting with `rule`. Candidate filtering is
-    /// a word-wise `AND` of a column mask against the unmatched-inputs mask;
+    /// a word-wise `AND` of the request matrix's column mask
+    /// ([`RequestMatrix::col_words`], read in place) against the
+    /// unmatched-inputs mask;
     /// walking word copies of the unmatched masks visits the ports in
     /// ascending order. The per-word snapshot of `unmatched_in` stays valid
     /// through the accept step: an input is cleared only when it accepts,
@@ -200,8 +198,6 @@ impl IterEngine {
         let n = self.n;
         let w = bitkern::words_for(n);
         self.begin_cycle(out, pre_grant);
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
         bitkern::mask_fill(&mut self.unmatched_in, n);
         bitkern::mask_fill(&mut self.unmatched_out, n);
         if let Some((i, j)) = pre_grant {
@@ -211,7 +207,7 @@ impl IterEngine {
 
         for iter in 0..iterations {
             self.log_requests(requests, out);
-            rule.before_grant(&self.rows, &self.unmatched_out);
+            rule.before_grant(requests, &self.unmatched_out);
 
             self.grant_mask.fill(0);
             for wi in 0..w {
@@ -219,8 +215,10 @@ impl IterEngine {
                 while outs != 0 {
                     let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
                     outs &= outs - 1;
-                    for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = self.cols[j * w + k] & self.unmatched_in[k];
+                    let col = requests.col_words(j);
+                    for ((c, &col), &free) in self.cand.iter_mut().zip(col).zip(&self.unmatched_in)
+                    {
+                        *c = col & free;
                     }
                     if let Some(i) = rule.grant(j, &self.cand) {
                         bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);

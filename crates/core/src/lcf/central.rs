@@ -89,13 +89,9 @@ pub struct CentralLcf {
     // Workhorse state, reused across slots to keep scheduling allocation-free.
     work: RequestMatrix,
     nrq: Vec<usize>,
-    // Word-parallel scratch (bitset backend): the request matrix as flat
-    // `n × words_for(n)` row masks and its transpose as column masks —
-    // neither is mutated during a schedule; grants clear bits of `free`
+    // Word-parallel scratch (bitset backend): grants clear bits of `free`
     // (unmatched requesters), and `cand` holds one resource's live
     // requesters. `nrq` doubles as the kernel's maintained count table.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
     free: Vec<u64>,
     cand: Vec<u64>,
     #[cfg(feature = "telemetry")]
@@ -131,8 +127,6 @@ impl CentralLcf {
             backend: Backend::default(),
             work: RequestMatrix::new(n),
             nrq: vec![0; n],
-            rows: Vec::with_capacity(n * bitkern::words_for(n)),
-            cols: Vec::with_capacity(n * bitkern::words_for(n)),
             free: Vec::with_capacity(bitkern::words_for(n)),
             cand: Vec::with_capacity(bitkern::words_for(n)),
             #[cfg(feature = "telemetry")]
@@ -419,15 +413,15 @@ impl CentralLcf {
         });
     }
 
-    /// The word-parallel kernel: the same Fig. 2 algorithm on multi-word
-    /// row masks (`words_for(n)` words per requester, bit `j % 64` of word
-    /// `j / 64`) plus the transposed column masks, one code path for every
-    /// `n`. Produces grant-for-grant identical schedules to
-    /// [`CentralLcf::schedule_scalar`].
+    /// The word-parallel kernel: the same Fig. 2 algorithm on the request
+    /// matrix's multi-word row and column masks
+    /// ([`RequestMatrix::row_words`], [`RequestMatrix::col_words`]), read
+    /// in place, one code path for every `n`. Produces grant-for-grant
+    /// identical schedules to [`CentralLcf::schedule_scalar`].
     ///
-    /// The row/column masks are never mutated: a grant clears one bit of
+    /// The request matrix is never mutated: a grant clears one bit of
     /// `free` (unmatched requesters), so a resource's live requesters are
-    /// `cols[resource] & free` — exactly the column the scalar reference
+    /// `col_words(resource) & free` — exactly the column the scalar reference
     /// keeps after withdrawing every matched requester's row. The NRQ table
     /// is filled once with row popcounts and maintained like the scalar
     /// one: every non-empty candidate set produces a grant, and
@@ -442,10 +436,8 @@ impl CentralLcf {
         let (i_off, j_off) = (self.pointer.i, self.pointer.j);
 
         out.reset(n);
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
-        for (count, row) in self.nrq.iter_mut().zip(self.rows.chunks_exact(w)) {
-            *count = bitkern::popcount(row);
+        for (i, count) in self.nrq.iter_mut().enumerate() {
+            *count = requests.nrq(i);
         }
         self.free.clear();
         self.free.resize(w, 0);
@@ -456,7 +448,7 @@ impl CentralLcf {
         if self.policy == RrPolicy::PriorityDiagonal {
             for res in 0..n {
                 let (di, dj) = self.pointer.diagonal_position(res);
-                self.load_cand(dj);
+                self.load_cand(requests, dj);
                 if bitkern::test_bit(&self.cand, di) && !out.output_matched(dj) {
                     // The diagonal position wins outright; the fused kernel
                     // runs only for its count update.
@@ -473,7 +465,7 @@ impl CentralLcf {
                 continue;
             }
             let diag_req = (i_off + res) % n;
-            self.load_cand(resource);
+            self.load_cand(requests, resource);
 
             // Smallest NRQ among the live requesters, ties broken in
             // rotating order from the diagonal requester. Every non-empty
@@ -500,9 +492,8 @@ impl CentralLcf {
 
     /// Loads `resource`'s live requesters into `cand`: the original column
     /// masked to the still-unmatched inputs.
-    fn load_cand(&mut self, resource: usize) {
-        let w = self.cand.len();
-        let col = &self.cols[resource * w..(resource + 1) * w];
+    fn load_cand(&mut self, requests: &RequestMatrix, resource: usize) {
+        let col = requests.col_words(resource);
         for ((c, &col), &free) in self.cand.iter_mut().zip(col).zip(&self.free) {
             *c = col & free;
         }

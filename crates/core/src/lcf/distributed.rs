@@ -63,10 +63,10 @@ struct LeastCount<'a> {
 impl IterRule for LeastCount<'_> {
     /// NRQ: each initiator's requests to unmatched targets (read for
     /// unmatched initiators only).
-    fn before_grant(&mut self, rows: &[u64], unmatched_out: &[u64]) {
-        let rows = rows.chunks_exact(unmatched_out.len());
-        for (nrq, row) in self.nrq.iter_mut().zip(rows) {
-            *nrq = row
+    fn before_grant(&mut self, requests: &RequestMatrix, unmatched_out: &[u64]) {
+        for (i, nrq) in self.nrq.iter_mut().enumerate() {
+            *nrq = requests
+                .row_words(i)
                 .iter()
                 .zip(unmatched_out)
                 .map(|(r, u)| (r & u).count_ones() as usize)

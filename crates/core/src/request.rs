@@ -7,10 +7,18 @@ use rand::Rng;
 /// has at least one packet queued for output (resource) `j`.
 ///
 /// This is the `R` array of the paper's Fig. 2 pseudocode. In the switch
-/// model it is derived from VOQ occupancy: one bit per virtual output queue.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// model it mirrors VOQ occupancy: one bit per virtual output queue, set
+/// when the queue turns non-empty and cleared when it drains.
+///
+/// Both orientations are stored: the row words and their transpose, one
+/// packed mask per resource. Every mutator keeps the two exact, so the
+/// word kernels read a resource's requesters in place with
+/// [`RequestMatrix::col_words`] instead of transposing the matrix per call.
+#[derive(Clone, PartialEq, Eq)]
 pub struct RequestMatrix {
     bits: BitMatrix,
+    // The transpose of `bits`: row `j` holds the requesters of resource `j`.
+    cols: BitMatrix,
 }
 
 impl RequestMatrix {
@@ -18,6 +26,7 @@ impl RequestMatrix {
     pub fn new(n: usize) -> Self {
         RequestMatrix {
             bits: BitMatrix::new(n),
+            cols: BitMatrix::new(n),
         }
     }
 
@@ -32,9 +41,7 @@ impl RequestMatrix {
 
     /// Builds a matrix from a predicate over `(requester, resource)`.
     pub fn from_fn(n: usize, f: impl FnMut(usize, usize) -> bool) -> Self {
-        RequestMatrix {
-            bits: BitMatrix::from_fn(n, f),
-        }
+        RequestMatrix::from(BitMatrix::from_fn(n, f))
     }
 
     /// A matrix with every request set (worst-case scheduler input).
@@ -65,6 +72,7 @@ impl RequestMatrix {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, value: bool) {
         self.bits.set(i, j, value);
+        self.cols.set(j, i, value);
     }
 
     /// NRQ of the paper: the number of resources requester `i` requests.
@@ -77,7 +85,7 @@ impl RequestMatrix {
     /// scheduler's NGT before any matches are removed).
     #[inline]
     pub fn ngt(&self, j: usize) -> usize {
-        self.bits.col_count(j)
+        self.cols.row_count(j)
     }
 
     /// Total number of requests.
@@ -101,8 +109,23 @@ impl RequestMatrix {
     }
 
     /// Iterates over the requesters of resource `j`, ascending.
-    pub fn col_ones(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
-        self.bits.col_ones(j)
+    pub fn col_ones(&self, j: usize) -> crate::bitmat::RowOnes<'_> {
+        self.cols.row_ones(j)
+    }
+
+    /// The packed row mask of requester `i`: bit `j % 64` of word `j / 64`
+    /// is set iff `i` requests resource `j` (see [`BitMatrix::row_words`]).
+    #[inline]
+    pub fn row_words(&self, i: usize) -> &[u64] {
+        self.bits.row_words(i)
+    }
+
+    /// The packed column mask of resource `j`: bit `i % 64` of word
+    /// `i / 64` is set iff requester `i` requests `j`. Maintained by every
+    /// mutator, so reading it is a borrow, not a transpose.
+    #[inline]
+    pub fn col_words(&self, j: usize) -> &[u64] {
+        self.cols.row_words(j)
     }
 
     /// Iterates over all `(requester, resource)` requests in row-major order.
@@ -112,12 +135,18 @@ impl RequestMatrix {
 
     /// Removes every request issued by requester `i`.
     pub fn clear_requester(&mut self, i: usize) {
+        for j in self.bits.row_ones(i) {
+            self.cols.set(j, i, false);
+        }
         self.bits.clear_row(i);
     }
 
     /// Removes every request for resource `j`.
     pub fn clear_resource(&mut self, j: usize) {
-        self.bits.clear_col(j);
+        for i in self.cols.row_ones(j) {
+            self.bits.set(i, j, false);
+        }
+        self.cols.clear_row(j);
     }
 
     /// Access to the underlying bit matrix.
@@ -125,24 +154,41 @@ impl RequestMatrix {
         &self.bits
     }
 
-    /// Replaces requester `i`'s whole row from packed occupancy words — the
-    /// word-parallel ingest path used by the simulator's slot loop (see
-    /// [`BitMatrix::set_row_words`] for the layout contract).
-    #[inline]
+    /// Replaces requester `i`'s whole row from packed words (see
+    /// [`BitMatrix::set_row_words`] for the layout contract). The column
+    /// masks are patched for the bits that differ from the old row, so this
+    /// suits callers that really do rewrite whole rows; a caller that knows
+    /// which single request changed should use [`RequestMatrix::set`].
     pub fn set_row_words(&mut self, i: usize, words: &[u64]) {
-        self.bits.set_row_words(i, words);
+        let cols = &mut self.cols;
+        self.bits
+            .set_row_words_with(i, words, |j| cols.toggle(j, i));
     }
 
     /// Copies `other` into `self` without reallocating (see
     /// [`BitMatrix::copy_from`]).
     pub fn copy_from(&mut self, other: &RequestMatrix) {
         self.bits.copy_from(&other.bits);
+        self.cols.copy_from(&other.cols);
     }
 }
 
 impl From<BitMatrix> for RequestMatrix {
     fn from(bits: BitMatrix) -> Self {
-        RequestMatrix { bits }
+        let mut cols = BitMatrix::new(bits.n());
+        for (i, j) in bits.ones() {
+            cols.set(j, i, true);
+        }
+        RequestMatrix { bits, cols }
+    }
+}
+
+/// Rows only: the transpose is derived state and would repeat every bit.
+impl std::fmt::Debug for RequestMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RequestMatrix")
+            .field("bits", &self.bits)
+            .finish()
     }
 }
 

@@ -124,7 +124,7 @@ impl Wavefront {
 
         self.diag.fill(0);
         for i in 0..n {
-            for (wi, &word) in requests.bits().row_words(i).iter().enumerate() {
+            for (wi, &word) in requests.row_words(i).iter().enumerate() {
                 let mut row = word;
                 while row != 0 {
                     let j = wi * bitkern::WORD_BITS + row.trailing_zeros() as usize;

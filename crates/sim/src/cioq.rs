@@ -39,6 +39,8 @@ pub struct CioqSwitch {
     voqs: Vec<VoqSet>,
     outputs: Vec<BoundedFifo>,
     requests: RequestMatrix,
+    /// One request row under construction, `words_for(n)` packed words.
+    row: Vec<u64>,
     /// Matchings in flight through the scheduling pipeline; front is the
     /// next to apply. Holds `sched_latency` entries between steps.
     pipeline: VecDeque<Vec<Matching>>,
@@ -91,6 +93,7 @@ impl CioqSwitch {
             voqs: (0..n).map(|_| VoqSet::new(n, voq_cap)).collect(),
             outputs: (0..n).map(|_| BoundedFifo::new(outbuf_cap)).collect(),
             requests: RequestMatrix::new(n),
+            row: vec![0; lcf_core::bitkern::words_for(n)],
             pipeline: VecDeque::new(),
             in_flight: vec![0; n * n],
             wasted_grants: 0,
@@ -150,10 +153,13 @@ impl CioqSwitch {
         // the same information a real pipelined/speedup scheduler has.
         for _ in 0..self.speedup {
             for i in 0..n {
+                self.row.fill(0);
                 for j in 0..n {
-                    let avail = self.voqs[i].len_for(j) > self.in_flight[i * n + j];
-                    self.requests.set(i, j, avail);
+                    if self.voqs[i].len_for(j) > self.in_flight[i * n + j] {
+                        lcf_core::bitkern::set_bit(&mut self.row, j);
+                    }
                 }
+                self.requests.set_row_words(i, &self.row);
             }
             // lint:allow(hot-path-alloc): free is pre-sized to (sched_latency+1)*speedup at construction and recycled every slot, so this fallback is unreachable
             let mut m = self.free.pop().unwrap_or_else(|| Matching::new(n));

@@ -96,8 +96,10 @@ impl Engine {
 /// 2. **Spill** — each PQ drains head-first into the input buffer (VOQ set
 ///    or single FIFO) while the head packet's queue has room ("first
 ///    buffered in the PQ and next, if space permits, in the VOQ").
-/// 3. **Request** — the request matrix is derived from buffer occupancy:
-///    one bit per non-empty VOQ, or the head destination in FIFO mode.
+/// 3. **Request** — the request matrix mirrors buffer occupancy: one bit
+///    per non-empty VOQ, or the head destination in FIFO mode. It is
+///    updated where a queue turns empty or non-empty (spill, dequeue),
+///    never rebuilt.
 /// 4. **Schedule & transfer** — the scheduler computes a matching; matched
 ///    head packets traverse the fabric and are transmitted on their output
 ///    link in the same slot (input, internal and output bandwidths are all
@@ -334,6 +336,27 @@ impl IqSwitch {
         pq + inner
     }
 
+    /// Slot-loop oracle: the maintained request matrix, both orientations,
+    /// equals the one rebuilt from scratch — VOQ occupancy bitmaps, or the
+    /// FIFO heads. Allocation-free, so it can run every slot.
+    #[cfg(all(feature = "check-invariants", debug_assertions))]
+    fn check_requests(&self) {
+        for i in 0..self.n {
+            for j in 0..self.n {
+                let want = match &self.inputs {
+                    InputQueues::Voq(v) => lcf_core::bitkern::test_bit(v[i].occupancy_words(), j),
+                    InputQueues::Fifo(f) => f[i].head().is_some_and(|h| h.dst_idx() == j),
+                };
+                let row = self.requests.get(i, j);
+                let col = lcf_core::bitkern::test_bit(self.requests.col_words(j), i);
+                assert!(
+                    row == want && col == want,
+                    "slot loop: stale request ({i}, {j}): queued {want}, row {row}, column {col}"
+                );
+            }
+        }
+    }
+
     /// Advances the simulation by one slot.
     pub fn step(
         &mut self,
@@ -393,12 +416,16 @@ impl IqSwitch {
 
         // 2. Spill PQ -> input buffers, head-first while space permits. The
         //    queue-mode match is hoisted out of the loop, and inputs with an
-        //    empty PQ skip the scan entirely.
+        //    empty PQ skip the scan entirely. The request matrix changes
+        //    only here and at the dequeue below: a VOQ that turns non-empty
+        //    (or a FIFO that gains a head) sets its request bit.
+        let requests = &mut self.requests;
         match &mut self.inputs {
             InputQueues::Voq(v) => {
-                for (pq, set) in self.pqs.iter_mut().zip(v.iter_mut()) {
+                for (i, (pq, set)) in self.pqs.iter_mut().zip(v.iter_mut()).enumerate() {
                     while let Some(head) = pq.head() {
-                        if !set.has_room_for(head.dst_idx()) {
+                        let dst = head.dst_idx();
+                        if !set.has_room_for(dst) {
                             break;
                         }
                         let Some(p) = pq.pop() else {
@@ -406,11 +433,15 @@ impl IqSwitch {
                         };
                         let pushed = set.push(p);
                         debug_assert!(pushed, "room was checked before the pop");
+                        if set.len_for(dst) == 1 {
+                            requests.set(i, dst, true);
+                        }
                     }
                 }
             }
             InputQueues::Fifo(f) => {
-                for (pq, fifo) in self.pqs.iter_mut().zip(f.iter_mut()) {
+                for (i, (pq, fifo)) in self.pqs.iter_mut().zip(f.iter_mut()).enumerate() {
+                    let had_head = !fifo.is_empty();
                     while !pq.is_empty() && !fifo.is_full() {
                         let Some(p) = pq.pop() else {
                             break; // unreachable: emptiness was checked above
@@ -418,35 +449,20 @@ impl IqSwitch {
                         let pushed = fifo.push(p);
                         debug_assert!(pushed, "room was checked before the pop");
                     }
+                    if let Some(head) = fifo.head().filter(|_| !had_head) {
+                        requests.set(i, head.dst_idx(), true);
+                    }
                 }
             }
         }
+        #[cfg(all(feature = "check-invariants", debug_assertions))]
+        self.check_requests();
 
-        // 3. Build the request (or weight) matrix from buffer occupancy,
-        //    then schedule into the reused matching buffer (hot-path memory
-        //    contract: no per-slot allocation).
+        // 3. Schedule the request (or weight) matrix into the reused
+        //    matching buffer (hot-path memory contract: no per-slot
+        //    allocation).
         match &mut self.engine {
             Engine::Boolean(scheduler) => {
-                match &self.inputs {
-                    // Word-parallel ingest: each VOQ set maintains its
-                    // occupancy bitmap incrementally, so a request row is a
-                    // word copy instead of n probes.
-                    InputQueues::Voq(v) => {
-                        for (i, set) in v.iter().enumerate() {
-                            self.requests.set_row_words(i, set.occupancy_words());
-                        }
-                    }
-                    InputQueues::Fifo(f) => {
-                        for (i, fifo) in f.iter().enumerate() {
-                            for j in 0..n {
-                                self.requests.set(i, j, false);
-                            }
-                            if let Some(head) = fifo.head() {
-                                self.requests.set(i, head.dst_idx(), true);
-                            }
-                        }
-                    }
-                }
                 scheduler.schedule_into(&self.requests, &mut self.last_matching);
                 // Slot-loop invariant check at the Matching seam: every
                 // matching the engine acts on must be conflict-free and
@@ -499,12 +515,27 @@ impl IqSwitch {
                 debug_assert!(self.last_matching.is_conflict_free());
             }
         }
+        // 4. Transfer. A VOQ that drains clears its request bit; a FIFO
+        //    moves its bit to the next head, if any.
         let matching = &self.last_matching;
         let inputs = &mut self.inputs;
         for (i, j) in matching.pairs() {
             let p = match inputs {
-                InputQueues::Voq(v) => v[i].pop_for(j),
-                InputQueues::Fifo(f) => f[i].pop(),
+                InputQueues::Voq(v) => {
+                    let p = v[i].pop_for(j);
+                    if !v[i].has_packet_for(j) {
+                        self.requests.set(i, j, false);
+                    }
+                    p
+                }
+                InputQueues::Fifo(f) => {
+                    let p = f[i].pop();
+                    self.requests.set(i, j, false);
+                    if let Some(head) = f[i].head() {
+                        self.requests.set(i, head.dst_idx(), true);
+                    }
+                    p
+                }
             }
             // lint:allow(no-panic): grant ⊆ request is checked above, so the granted queue is non-empty
             .expect("scheduler granted an empty queue");

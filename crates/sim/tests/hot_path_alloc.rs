@@ -1,12 +1,14 @@
 //! Hot-path memory contract, measured: once the queues of an overloaded
-//! switch are saturated, `IqSwitch::step` performs no heap allocation at
-//! all — no per-slot buffers, and no further VOQ slab growth.
+//! switch are saturated, `IqSwitch::step` (VOQ and single-FIFO inputs) and
+//! `CioqSwitch::step` perform no heap allocation at all — no per-slot
+//! buffers, no request-matrix rebuilds, and no further VOQ slab growth.
 //!
 //! A counting global allocator wraps the system one. The counter is
 //! thread-local, so the test harness's other threads cannot disturb it.
 
 use lcf_core::bitkern::Backend;
 use lcf_core::registry::SchedulerKind;
+use lcf_sim::cioq::CioqSwitch;
 use lcf_sim::stats::SimStats;
 use lcf_sim::switch::{IqSwitch, QueueMode};
 use lcf_sim::traffic::{Bernoulli, DestPattern};
@@ -62,10 +64,13 @@ const PQ_CAP: usize = 8;
 
 /// Steps an overloaded switch (every input offers a packet each slot, half
 /// of them to one hot output) until its queues are saturated, then counts
-/// the allocations of `measured` further slots.
-fn steady_state_allocations(kind: SchedulerKind, measured: u64) -> u64 {
-    let (scheduler, _) = kind.build_with_backend(N, 4, 7, Backend::Bitset);
-    let mut sw = IqSwitch::new(N, scheduler, QueueMode::Voq { cap: VOQ_CAP }, PQ_CAP);
+/// the allocations of `measured` further slots. `step` advances the switch
+/// under test by one slot.
+fn steady_state_allocations(
+    what: &str,
+    measured: u64,
+    mut step: impl FnMut(u64, &mut Bernoulli, &mut StdRng, &mut SimStats),
+) -> u64 {
     let pattern = DestPattern::Hotspot {
         hot: 3,
         fraction: 0.5,
@@ -76,18 +81,18 @@ fn steady_state_allocations(kind: SchedulerKind, measured: u64) -> u64 {
 
     let warmup = 2_000;
     for slot in 0..warmup {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
+        step(slot, &mut traffic, &mut rng, &mut stats);
     }
     // The hot output's VOQs and the PQs behind them are full: the switch
     // is dropping, and every queue has been as deep as it will ever be.
     assert!(
         stats.dropped_pq > 0,
-        "{kind:?}: warm-up must saturate the PQs"
+        "{what}: warm-up must saturate the PQs"
     );
 
     let before = allocations();
     for slot in warmup..warmup + measured {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
+        step(slot, &mut traffic, &mut rng, &mut stats);
     }
     let after = allocations();
     assert!(stats.delivered > 0);
@@ -96,13 +101,34 @@ fn steady_state_allocations(kind: SchedulerKind, measured: u64) -> u64 {
 
 #[test]
 fn iq_switch_step_is_allocation_free_once_saturated() {
-    for kind in [SchedulerKind::LcfCentral, SchedulerKind::Islip] {
-        let allocs = steady_state_allocations(kind, 5_000);
+    let modes = [
+        (SchedulerKind::LcfCentral, QueueMode::Voq { cap: VOQ_CAP }),
+        (SchedulerKind::Islip, QueueMode::Voq { cap: VOQ_CAP }),
+        (SchedulerKind::Fifo, QueueMode::SingleFifo { cap: VOQ_CAP }),
+    ];
+    for (kind, mode) in modes {
+        let (scheduler, _) = kind.build_with_backend(N, 4, 7, Backend::Bitset);
+        let mut sw = IqSwitch::new(N, scheduler, mode, PQ_CAP);
+        let allocs = steady_state_allocations(kind.name(), 5_000, |slot, t, rng, stats| {
+            sw.step(slot, t, rng, stats);
+        });
         assert_eq!(
             allocs, 0,
             "{kind:?}: IqSwitch::step allocated in steady state"
         );
     }
+}
+
+#[test]
+fn cioq_switch_step_is_allocation_free_once_saturated() {
+    // Speedup 2 and a 2-slot scheduling pipeline: every pass rewrites the
+    // request rows and the matchings cycle through the recycled pools.
+    let (scheduler, _) = SchedulerKind::LcfCentral.build_with_backend(N, 4, 7, Backend::Bitset);
+    let mut sw = CioqSwitch::new(N, scheduler, 2, 2, PQ_CAP, VOQ_CAP, VOQ_CAP);
+    let allocs = steady_state_allocations("cioq", 5_000, |slot, t, rng, stats| {
+        sw.step(slot, t, rng, stats);
+    });
+    assert_eq!(allocs, 0, "CioqSwitch::step allocated in steady state");
 }
 
 #[test]
