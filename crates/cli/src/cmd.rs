@@ -39,7 +39,7 @@ pub fn help() -> String {
      \x20 averages R independent seeds per point and reports 95% CIs.\n\
      \x20 trace      replay one seed and pretty-print scheduler decisions\n\
      \x20            [--scheduler lcf_central_rr] [--ports 4] [--load 0.85]\n\
-     \x20            [--slots 12] [--seed N] (needs the `telemetry` feature)\n\
+     \x20            [--slots 12] [--seed N]\n\
      \x20 serve      long-lived sharded engine: windowed sessions, merged\n\
      \x20            telemetry snapshots, online reconfiguration, drain\n\
      \x20            [--shards 4] [--window-slots 5000] [--snapshots 8]\n\
@@ -69,15 +69,8 @@ fn wants_telemetry(args: &Args) -> bool {
     args.get("trace").is_some() || args.get("metrics").is_some()
 }
 
-/// Error for telemetry surfaces in a build without the feature.
-#[cfg(not(feature = "telemetry"))]
-const NEEDS_TELEMETRY: &str = "telemetry is not compiled into this binary; \
-    rebuild with `--features telemetry` \
-    (e.g. `cargo run -p lcf-cli --features telemetry --bin lcf -- ...`)";
-
 /// Writes `--trace` / `--metrics` outputs and appends a summary of what
 /// went where to `out`.
-#[cfg(feature = "telemetry")]
 fn export_telemetry(
     args: &Args,
     trace: &lcf_telemetry::TraceBuffer,
@@ -240,7 +233,6 @@ pub fn simulate(args: &Args) -> Result<String, String> {
     let model =
         ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
     let cfg = sim_config(args, model)?;
-    #[cfg(feature = "telemetry")]
     if wants_telemetry(args) {
         let cap = args.get_parsed("trace-cap", 0usize)?;
         let (report, telemetry) = lcf_sim::runner::run_sim_traced(&cfg, cap);
@@ -248,17 +240,14 @@ pub fn simulate(args: &Args) -> Result<String, String> {
         export_telemetry(args, &telemetry.trace, &telemetry.metrics, &mut out)?;
         return Ok(out);
     }
-    #[cfg(not(feature = "telemetry"))]
-    if wants_telemetry(args) {
-        return Err(NEEDS_TELEMETRY.into());
-    }
     let report = run_sim(&cfg);
     Ok(report_block(&report))
 }
 
 /// `lcf serve`: the long-lived sharded engine. One JSON snapshot line per
 /// measurement window (merged across shards, byte-deterministic), the
-/// final drain line, then a human summary.
+/// final drain line, then a human summary. A drain that misses its
+/// deadline is an error carrying the drain line.
 pub fn serve(args: &Args) -> Result<String, String> {
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
     let model =
@@ -283,6 +272,12 @@ pub fn serve(args: &Args) -> Result<String, String> {
         ..defaults
     };
     let outcome = lcf_sim::serve::serve(&cfg)?;
+    if !outcome.drained {
+        return Err(format!(
+            "serve: drain missed its {}-slot deadline: {}",
+            cfg.drain_deadline_slots, outcome.drain_json
+        ));
+    }
     let mut out = String::new();
     for line in &outcome.snapshots {
         writeln!(out, "{line}").unwrap();
@@ -348,13 +343,8 @@ pub fn sweep(args: &Args) -> Result<String, String> {
             .collect();
         return Ok(replicated_table(&models, &loads, &reps, replications));
     }
-    #[cfg(feature = "telemetry")]
     if wants_telemetry(args) {
         return sweep_traced(args, &models, &loads, &configs);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if wants_telemetry(args) {
-        return Err(NEEDS_TELEMETRY.into());
     }
     let reports = lcf_sim::runner::sweep(&configs);
     Ok(sweep_table(&models, &loads, &reports))
@@ -415,7 +405,6 @@ fn sweep_table(models: &[ModelKind], loads: &[f64], reports: &[SimReport]) -> St
 /// The traced sweep: same table, plus `--trace` (per-config traces
 /// concatenated behind `sweep_config` marker events) and `--metrics`
 /// (the batch's merged registry).
-#[cfg(feature = "telemetry")]
 fn sweep_traced(
     args: &Args,
     models: &[ModelKind],
@@ -468,7 +457,6 @@ fn sweep_traced(
 /// `lcf trace` — replay one seed and pretty-print the scheduler's
 /// decisions. Small defaults (4 ports, 12 slots, no warm-up) keep the
 /// output human-sized; every knob of `simulate` is accepted.
-#[cfg(feature = "telemetry")]
 pub fn trace(args: &Args) -> Result<String, String> {
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
     let model =
@@ -518,15 +506,8 @@ pub fn trace(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `lcf trace` in a build without the feature.
-#[cfg(not(feature = "telemetry"))]
-pub fn trace(_args: &Args) -> Result<String, String> {
-    Err(NEEDS_TELEMETRY.into())
-}
-
 /// Renders one trace event as a human-readable line. Unknown kinds fall
 /// back to their JSON form, so the printer never loses information.
-#[cfg(feature = "telemetry")]
 fn pretty_event(e: &lcf_telemetry::Event) -> String {
     use lcf_telemetry::Value;
     let get = |name: &str| e.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v);
@@ -958,7 +939,6 @@ mod tests {
         assert!(out.contains("delivered (unique)"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_pretty_prints_decisions() {
         let out = trace(&parse(&["--slots", "6", "--seed", "7"])).unwrap();
@@ -977,7 +957,6 @@ mod tests {
         assert!(islip.contains("accepts"), "{islip}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn simulate_exports_trace_and_metrics() {
         let dir = std::env::temp_dir();
@@ -1012,25 +991,6 @@ mod tests {
         assert!(metrics.contains("\"sim.slots\":200"), "{metrics}");
         let _ = std::fs::remove_file(&tp);
         let _ = std::fs::remove_file(&mp);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn telemetry_surfaces_explain_the_missing_feature() {
-        let err = trace(&parse(&[])).unwrap_err();
-        assert!(err.contains("--features telemetry"), "{err}");
-        let args = parse(&[
-            "--scheduler",
-            "islip",
-            "--slots",
-            "100",
-            "--warmup",
-            "10",
-            "--trace",
-            "/tmp/never-written.jsonl",
-        ]);
-        let err = simulate(&args).unwrap_err();
-        assert!(err.contains("--features telemetry"), "{err}");
     }
 
     #[test]
@@ -1087,6 +1047,28 @@ mod tests {
         let _ = std::fs::remove_file(&script);
         assert!(out.contains("{\"window\":1,"), "{out}");
         assert!(out.contains("drained=true"), "{out}");
+    }
+
+    #[test]
+    fn serve_fails_when_the_drain_misses_its_deadline() {
+        let err = serve(&parse(&[
+            "--ports",
+            "4",
+            "--load",
+            "0.95",
+            "--warmup",
+            "200",
+            "--shards",
+            "2",
+            "--window-slots",
+            "200",
+            "--snapshots",
+            "1",
+            "--drain-deadline",
+            "1",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("\"drained\":false"), "{err}");
     }
 
     #[test]

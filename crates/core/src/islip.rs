@@ -143,8 +143,7 @@ impl Scheduler for Islip {
                 grant: &mut self.grant_ptr,
                 accept: &mut self.accept_ptr,
             };
-            self.engine
-                .run_iterations(rule, requests, out, self.iterations, None);
+            self.engine.run(rule, requests, out, self.iterations, None);
         } else {
             self.schedule_scalar(requests, out);
         }
@@ -160,12 +159,10 @@ impl Scheduler for Islip {
         self.engine.trace = IterationTrace::default();
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.engine.tracing = enabled;
+        self.engine.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.engine.trace.drain_into(sink);
     }

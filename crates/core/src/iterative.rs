@@ -10,11 +10,15 @@
 //!
 //! The engine also owns the convergence [`IterationTrace`] and the step
 //! recording, which the schedulers' scalar reference kernels share, so
-//! both backends report identical traces.
+//! both backends report identical traces. The word kernel takes its step
+//! log as a type parameter ([`StepLog`]), picked once per cycle from the
+//! tracing switch: an untraced cycle runs [`NoSteps`], whose no-op methods
+//! leave no logging branch in the grant and accept loops.
 
 use crate::bitkern;
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
+use crate::telemetry::IterationStep;
 
 /// Per-cycle convergence record of the last `schedule` call of an
 /// iterative scheduler (distributed LCF, PIM or iSLIP).
@@ -30,12 +34,10 @@ pub struct IterationTrace {
     pub converged_after: Option<usize>,
     /// The round-robin pre-grant of this cycle, if the scheduler made one
     /// (only populated while tracing).
-    #[cfg(feature = "telemetry")]
     pub pre_grant: Option<(usize, usize)>,
     /// Full request/grant/accept sets per iteration (only populated while
     /// tracing — see [`Scheduler::set_tracing`](crate::traits::Scheduler::set_tracing)).
-    #[cfg(feature = "telemetry")]
-    pub steps: Vec<crate::telemetry::IterationStep>,
+    pub steps: Vec<IterationStep>,
 }
 
 impl IterationTrace {
@@ -47,7 +49,6 @@ impl IterationTrace {
 
     /// Emits the trace as events (a `pre_grant` event, then one `iteration`
     /// event per recorded step), stamped with slot 0.
-    #[cfg(feature = "telemetry")]
     pub(crate) fn drain_into(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         if let Some((i, j)) = self.pre_grant.take() {
             sink(
@@ -83,6 +84,56 @@ pub(crate) trait IterRule {
     fn matched(&mut self, _iter: usize, _i: usize, _j: usize) {}
 }
 
+/// Where a cycle records its request/grant/accept sets. Every method
+/// defaults to a no-op, so [`NoSteps`] records nothing and compiles to
+/// nothing; [`Steps`] appends to [`IterationTrace::steps`].
+pub(crate) trait StepLog {
+    /// Opens an iteration's step with every live request: each (unmatched
+    /// input, unmatched output) pair backed by a queued packet,
+    /// input-major.
+    fn requests(_trace: &mut IterationTrace, _requests: &RequestMatrix, _matching: &Matching) {}
+
+    /// Records output `j` granting input `i` in the open step.
+    fn grant(_trace: &mut IterationTrace, _i: usize, _j: usize) {}
+
+    /// Records input `i` accepting output `j` in the open step.
+    fn accept(_trace: &mut IterationTrace, _i: usize, _j: usize) {}
+}
+
+/// The untraced step log: zero-sized, records nothing.
+pub(crate) struct NoSteps;
+
+impl StepLog for NoSteps {}
+
+/// The traced step log. Grants and accepts land in the open step, if any:
+/// steps exist only while tracing, because switching it off drops them.
+pub(crate) struct Steps;
+
+impl StepLog for Steps {
+    fn requests(trace: &mut IterationTrace, requests: &RequestMatrix, matching: &Matching) {
+        let mut step = IterationStep::default();
+        for i in (0..matching.n()).filter(|&i| !matching.input_matched(i)) {
+            let live = requests
+                .row_ones(i)
+                .filter(|&j| !matching.output_matched(j));
+            step.requests.extend(live.map(|j| (i, j)));
+        }
+        trace.steps.push(step);
+    }
+
+    fn grant(trace: &mut IterationTrace, i: usize, j: usize) {
+        if let Some(step) = trace.steps.last_mut() {
+            step.grants.push((i, j));
+        }
+    }
+
+    fn accept(trace: &mut IterationTrace, i: usize, j: usize) {
+        if let Some(step) = trace.steps.last_mut() {
+            step.accepts.push((i, j));
+        }
+    }
+}
+
 /// The mask scratch, convergence trace and tracing switch of an iterative
 /// scheduler. Scratch is sized at construction, so a cycle allocates
 /// nothing.
@@ -96,11 +147,9 @@ pub(crate) struct IterEngine {
     unmatched_out: Vec<u64>,
     cand: Vec<u64>,
     pub(crate) trace: IterationTrace,
-    #[cfg(feature = "telemetry")]
-    pub(crate) tracing: bool,
+    tracing: bool,
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
 impl IterEngine {
     pub(crate) fn new(n: usize) -> Self {
         let w = bitkern::words_for(n);
@@ -111,8 +160,18 @@ impl IterEngine {
             unmatched_out: vec![0; w],
             cand: vec![0; w],
             trace: IterationTrace::default(),
-            #[cfg(feature = "telemetry")]
             tracing: false,
+        }
+    }
+
+    /// Switches step recording on or off. Switching off drops the steps
+    /// and pre-grant not yet drained, so an untraced cycle never has to
+    /// clear them.
+    pub(crate) fn set_tracing(&mut self, enabled: bool) {
+        self.tracing = enabled;
+        if !enabled {
+            self.trace.steps.clear();
+            self.trace.pre_grant = None;
         }
     }
 
@@ -123,48 +182,31 @@ impl IterEngine {
         let trace = &mut self.trace;
         trace.new_matches.clear();
         trace.converged_after = None;
-        #[cfg(feature = "telemetry")]
-        {
+        if self.tracing {
             trace.steps.clear();
-            trace.pre_grant = pre_grant.filter(|_| self.tracing);
+            trace.pre_grant = pre_grant;
         }
         if let Some((i, j)) = pre_grant {
             out.connect(i, j);
         }
     }
 
-    /// Opens iteration's step record (while tracing) with every live
-    /// request: each (unmatched input, unmatched output) pair backed by a
-    /// queued packet, input-major.
+    /// Opens an iteration's step record while tracing (the scalar
+    /// kernels' entry to [`Steps`]).
     pub(crate) fn log_requests(&mut self, requests: &RequestMatrix, matching: &Matching) {
-        #[cfg(feature = "telemetry")]
         if self.tracing {
-            let mut step = crate::telemetry::IterationStep::default();
-            for i in (0..self.n).filter(|&i| !matching.input_matched(i)) {
-                let live = requests
-                    .row_ones(i)
-                    .filter(|&j| !matching.output_matched(j));
-                step.requests.extend(live.map(|j| (i, j)));
-            }
-            self.trace.steps.push(step);
+            Steps::requests(&mut self.trace, requests, matching);
         }
     }
 
     /// Records output `j` granting input `i` in the open step, if any.
-    /// (Steps exist only while tracing: `begin_cycle` clears them.)
     pub(crate) fn log_grant(&mut self, i: usize, j: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(step) = self.trace.steps.last_mut() {
-            step.grants.push((i, j));
-        }
+        Steps::grant(&mut self.trace, i, j);
     }
 
     /// Records input `i` accepting output `j` in the open step, if any.
     pub(crate) fn log_accept(&mut self, i: usize, j: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(step) = self.trace.steps.last_mut() {
-            step.accepts.push((i, j));
-        }
+        Steps::accept(&mut self.trace, i, j);
     }
 
     /// Closes iteration `iter` (0-based) with its match count. Returns true
@@ -178,8 +220,26 @@ impl IterEngine {
         new_matches == 0
     }
 
+    /// Runs one scheduling cycle on the word kernel, recording its steps
+    /// only while tracing: the one tracing check of the cycle.
+    pub(crate) fn run<R: IterRule>(
+        &mut self,
+        rule: &mut R,
+        requests: &RequestMatrix,
+        out: &mut Matching,
+        iterations: usize,
+        pre_grant: Option<(usize, usize)>,
+    ) {
+        if self.tracing {
+            self.run_iterations::<R, Steps>(rule, requests, out, iterations, pre_grant);
+        } else {
+            self.run_iterations::<R, NoSteps>(rule, requests, out, iterations, pre_grant);
+        }
+    }
+
     /// Runs one scheduling cycle of up to `iterations` request/grant/accept
-    /// iterations into `out`, selecting with `rule`. Candidate filtering is
+    /// iterations into `out`, selecting with `rule` and recording steps
+    /// through `L`. Candidate filtering is
     /// a word-wise `AND` of the request matrix's column mask
     /// ([`RequestMatrix::col_words`], read in place) against the
     /// unmatched-inputs mask;
@@ -187,7 +247,7 @@ impl IterEngine {
     /// ascending order. The per-word snapshot of `unmatched_in` stays valid
     /// through the accept step: an input is cleared only when it accepts,
     /// at most once per iteration.
-    pub(crate) fn run_iterations<R: IterRule>(
+    fn run_iterations<R: IterRule, L: StepLog>(
         &mut self,
         rule: &mut R,
         requests: &RequestMatrix,
@@ -206,7 +266,7 @@ impl IterEngine {
         }
 
         for iter in 0..iterations {
-            self.log_requests(requests, out);
+            L::requests(&mut self.trace, requests, out);
             rule.before_grant(requests, &self.unmatched_out);
 
             self.grant_mask.fill(0);
@@ -222,7 +282,7 @@ impl IterEngine {
                     }
                     if let Some(i) = rule.grant(j, &self.cand) {
                         bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
-                        self.log_grant(i, j);
+                        L::grant(&mut self.trace, i, j);
                     }
                 }
             }
@@ -238,7 +298,7 @@ impl IterEngine {
                         bitkern::clear_bit(&mut self.unmatched_in, i);
                         bitkern::clear_bit(&mut self.unmatched_out, j);
                         new_matches += 1;
-                        self.log_accept(i, j);
+                        L::accept(&mut self.trace, i, j);
                         rule.matched(iter, i, j);
                     }
                 }

@@ -4,6 +4,7 @@ use crate::arbiter::DiagonalPointer;
 use crate::bitkern::{self, Backend};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
+use crate::telemetry::{GrantDecision, GrantReason};
 use crate::traits::Scheduler;
 
 /// How much round-robin protection the central LCF scheduler applies.
@@ -94,10 +95,8 @@ pub struct CentralLcf {
     // requesters. `nrq` doubles as the kernel's maintained count table.
     free: Vec<u64>,
     cand: Vec<u64>,
-    #[cfg(feature = "telemetry")]
     tracing: bool,
-    #[cfg(feature = "telemetry")]
-    decisions: Vec<crate::telemetry::GrantDecision>,
+    decisions: Vec<GrantDecision>,
 }
 
 impl CentralLcf {
@@ -129,9 +128,7 @@ impl CentralLcf {
             nrq: vec![0; n],
             free: Vec::with_capacity(bitkern::words_for(n)),
             cand: Vec::with_capacity(bitkern::words_for(n)),
-            #[cfg(feature = "telemetry")]
             tracing: false,
-            #[cfg(feature = "telemetry")]
             decisions: Vec::new(),
         }
     }
@@ -139,8 +136,7 @@ impl CentralLcf {
     /// The grant decisions of the most recent [`schedule`](Scheduler::schedule)
     /// call, in output-scheduling order. Empty unless tracing was enabled
     /// via [`Scheduler::set_tracing`].
-    #[cfg(feature = "telemetry")]
-    pub fn last_decisions(&self) -> &[crate::telemetry::GrantDecision] {
+    pub fn last_decisions(&self) -> &[GrantDecision] {
         &self.decisions
     }
 
@@ -199,11 +195,7 @@ impl Scheduler for CentralLcf {
         // While tracing, always take the scalar reference kernel: it is
         // bit-identical to the word-parallel kernel by contract, and it is
         // where the per-grant decision recording lives.
-        #[cfg(feature = "telemetry")]
-        let word_parallel = !self.tracing && self.backend.word_parallel();
-        #[cfg(not(feature = "telemetry"))]
-        let word_parallel = self.backend.word_parallel();
-        if word_parallel {
+        if !self.tracing && self.backend.word_parallel() {
             self.schedule_bitset(requests, out)
         } else {
             self.schedule_scalar(requests, out)
@@ -226,11 +218,9 @@ impl Scheduler for CentralLcf {
 
     fn reset(&mut self) {
         self.pointer = DiagonalPointer::new(self.n);
-        #[cfg(feature = "telemetry")]
         self.decisions.clear();
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
         self.tracing = enabled;
         if !enabled {
@@ -238,7 +228,6 @@ impl Scheduler for CentralLcf {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         for decision in self.decisions.drain(..) {
             sink(decision.to_event());
@@ -260,7 +249,6 @@ impl CentralLcf {
         for req in 0..n {
             self.nrq[req] = self.work.nrq(req);
         }
-        #[cfg(feature = "telemetry")]
         self.decisions.clear();
 
         // Grant bookkeeping shared by the pre-pass and the main loop.
@@ -285,13 +273,8 @@ impl CentralLcf {
             for res in 0..n {
                 let (di, dj) = self.pointer.diagonal_position(res);
                 if self.work.get(di, dj) && !out.output_matched(dj) {
-                    #[cfg(feature = "telemetry")]
                     if self.tracing {
-                        self.record_decision(
-                            dj,
-                            di,
-                            crate::telemetry::GrantReason::PriorityDiagonal,
-                        );
+                        self.record_decision(dj, di, GrantReason::PriorityDiagonal);
                     }
                     grant(out, &mut self.work, &mut self.nrq, di, dj);
                 }
@@ -324,7 +307,6 @@ impl CentralLcf {
                 }
                 _ => None,
             };
-            #[cfg(feature = "telemetry")]
             let fast_path = gnt.is_some();
 
             if gnt.is_none() {
@@ -342,7 +324,6 @@ impl CentralLcf {
             }
 
             if let Some(gnt) = gnt {
-                #[cfg(feature = "telemetry")]
                 if self.tracing {
                     let reason = self.classify(resource, gnt, fast_path);
                     self.record_decision(resource, gnt, reason);
@@ -354,14 +335,7 @@ impl CentralLcf {
 
     /// Why `winner` won `resource` — classified against the *current* work
     /// matrix and NRQ counts, i.e. before the grant is applied.
-    #[cfg(feature = "telemetry")]
-    fn classify(
-        &self,
-        resource: usize,
-        winner: usize,
-        fast_path: bool,
-    ) -> crate::telemetry::GrantReason {
-        use crate::telemetry::GrantReason;
+    fn classify(&self, resource: usize, winner: usize, fast_path: bool) -> GrantReason {
         if fast_path {
             return if self.policy == RrPolicy::Column {
                 GrantReason::ColumnChain
@@ -391,20 +365,14 @@ impl CentralLcf {
     }
 
     /// Records one grant decision with the losing requesters' counts.
-    #[cfg(feature = "telemetry")]
-    fn record_decision(
-        &mut self,
-        resource: usize,
-        winner: usize,
-        reason: crate::telemetry::GrantReason,
-    ) {
+    fn record_decision(&mut self, resource: usize, winner: usize, reason: GrantReason) {
         let losers: Vec<(usize, usize)> = self
             .work
             .col_ones(resource)
             .filter(|&req| req != winner)
             .map(|req| (req, self.nrq[req]))
             .collect();
-        self.decisions.push(crate::telemetry::GrantDecision {
+        self.decisions.push(GrantDecision {
             resource,
             winner,
             winner_nrq: self.nrq[winner],

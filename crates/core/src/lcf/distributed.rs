@@ -173,7 +173,7 @@ impl Scheduler for DistributedLcf {
                 accept_tb: &self.accept_tb,
             };
             self.engine
-                .run_iterations(rule, requests, out, self.iterations, pre_grant);
+                .run(rule, requests, out, self.iterations, pre_grant);
         } else {
             self.schedule_scalar(requests, out, pre_grant);
         }
@@ -191,12 +191,10 @@ impl Scheduler for DistributedLcf {
         self.engine.trace = IterationTrace::default();
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.engine.tracing = enabled;
+        self.engine.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.engine.trace.drain_into(sink);
     }

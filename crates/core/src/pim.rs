@@ -112,8 +112,7 @@ impl Scheduler for Pim {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
         if self.backend.word_parallel() {
             let rule = &mut Uniform(&mut self.rng);
-            self.engine
-                .run_iterations(rule, requests, out, self.iterations, None);
+            self.engine.run(rule, requests, out, self.iterations, None);
         } else {
             self.schedule_scalar(requests, out);
         }
@@ -123,12 +122,10 @@ impl Scheduler for Pim {
         self.rng = StdRng::seed_from_u64(self.seed);
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.engine.tracing = enabled;
+        self.engine.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.engine.trace.drain_into(sink);
     }

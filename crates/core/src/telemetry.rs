@@ -1,4 +1,4 @@
-//! Decision-trace records emitted by the schedulers (feature `telemetry`).
+//! Decision-trace records emitted by the schedulers while tracing.
 //!
 //! The paper's central argument is *why* each grant happens — the
 //! round-robin position takes precedence, then the requester with the

@@ -63,14 +63,12 @@ pub trait Scheduler {
     /// from whichever kernel runs, and central LCF routes to its scalar
     /// reference kernel while tracing, which is bit-identical to the
     /// word-parallel kernel by contract.
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, _enabled: bool) {}
 
     /// Drains the decision events recorded since the last drain into
     /// `sink`. Events are stamped with slot 0 — the simulation's shared
     /// `drive()` loop re-stamps them with the current slot before they
     /// enter the trace. Default: no events.
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, _sink: &mut dyn FnMut(lcf_telemetry::Event)) {}
 }
 
@@ -95,12 +93,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
         (**self).reset()
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
         (**self).set_tracing(enabled)
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         (**self).drain_events(sink)
     }

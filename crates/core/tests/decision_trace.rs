@@ -6,8 +6,6 @@
 //! with the fewest outstanding requests, with ties broken by the rotating
 //! priority chain starting at the diagonal requester.
 
-#![cfg(feature = "telemetry")]
-
 use lcf_core::bitkern::Backend;
 use lcf_core::lcf::RrPolicy;
 use lcf_core::prelude::*;

@@ -3,7 +3,7 @@
 //! This file is never compiled; it exists so `cargo run -p lcf-lint -- --self-test`
 //! (and `cargo run -p lcf-lint -- crates/lint/fixtures/seeded.rs`, which must
 //! exit non-zero) can prove every rule family actually fires — and that the
-//! tagged/gated negative cases do not. It deliberately lacks
+//! tagged negative cases do not. It deliberately lacks
 //! `#![forbid(unsafe_code)]` to trip the forbid-unsafe rule.
 
 use std::collections::HashMap; // trips hash-collections
@@ -54,16 +54,4 @@ pub fn contracted_arrival(rng: &mut SimRng, n: usize) -> Option<usize> {
     } else {
         None
     }
-}
-
-/// Trips telemetry-hygiene: lcf_telemetry named outside any
-/// `#[cfg(feature = "telemetry")]` gate.
-pub fn seeded_probe(events: &mut Vec<lcf_telemetry::Event>) {
-    events.clear();
-}
-
-/// Does NOT trip telemetry-hygiene: the item is feature-gated.
-#[cfg(feature = "telemetry")]
-pub fn gated_probe(events: &mut Vec<lcf_telemetry::Event>) {
-    events.clear();
 }

@@ -18,13 +18,11 @@
 use crate::packet::Packet;
 use crate::queues::{BoundedFifo, VoqSet};
 use crate::stats::SimStats;
-#[cfg(feature = "telemetry")]
 use crate::switch::SwitchTelemetry;
 use crate::traffic::Traffic;
 use lcf_core::matching::Matching;
 use lcf_core::request::RequestMatrix;
 use lcf_core::traits::Scheduler;
-#[cfg(feature = "telemetry")]
 use lcf_telemetry::{Event, MetricsRegistry, SlotClock, TraceBuffer};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -60,7 +58,6 @@ pub struct CioqSwitch {
     free_batches: Vec<Vec<Matching>>,
     /// Per-slot arrival batch, reused across slots.
     arrivals: Vec<Option<usize>>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
@@ -107,7 +104,6 @@ impl CioqSwitch {
                 .map(|_| Vec::with_capacity(speedup))
                 .collect(),
             arrivals: vec![None; n],
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -175,7 +171,6 @@ impl CioqSwitch {
     /// Starts recording telemetry: scheduler decision traces plus slot-loop
     /// metrics, into a trace buffer of `trace_capacity` events (0 =
     /// unbounded).
-    #[cfg(feature = "telemetry")]
     pub fn enable_telemetry(&mut self, trace_capacity: usize) {
         self.scheduler.set_tracing(true);
         self.telemetry = Some(Box::new(SwitchTelemetry {
@@ -186,20 +181,17 @@ impl CioqSwitch {
     }
 
     /// Stops recording and hands back the collected telemetry.
-    #[cfg(feature = "telemetry")]
     pub fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         self.scheduler.set_tracing(false);
         self.telemetry.take()
     }
 
     /// The live telemetry state, if enabled.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         self.telemetry.as_deref_mut()
     }
 
     /// Drains the scheduler's queued decision events into `sink`.
-    #[cfg(feature = "telemetry")]
     pub fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(Event)) {
         self.scheduler.drain_events(sink);
     }
@@ -213,7 +205,6 @@ impl CioqSwitch {
         stats: &mut SimStats,
     ) {
         let n = self.n;
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.clock.seek(slot);
         }
@@ -284,10 +275,6 @@ impl CioqSwitch {
                 delivered += 1;
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = delivered;
-
-        #[cfg(feature = "telemetry")]
         if self.telemetry.is_some() {
             let buffered = self.buffered_packets() as f64;
             // lint:allow(no-panic): is_some checked just above

@@ -37,7 +37,6 @@ use crate::cioq::CioqSwitch;
 use crate::outbuf::ObSwitch;
 use crate::stats::SimStats;
 use crate::switch::IqSwitch;
-#[cfg(feature = "telemetry")]
 use crate::switch::SwitchTelemetry;
 use crate::traffic::Traffic;
 use rand::rngs::StdRng;
@@ -74,26 +73,24 @@ pub trait SwitchModel {
     /// Starts recording telemetry into a trace buffer of `trace_capacity`
     /// events (0 = unbounded). Default: ignored — models without telemetry
     /// record nothing.
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, _trace_capacity: usize) {}
 
     /// Stops recording and hands back the collected telemetry (None if
     /// telemetry was never enabled or the model has none).
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         None
     }
 
-    /// The live telemetry state, if enabled. [`drive`] uses this to re-stamp
-    /// drained scheduler events with the model's slot clock.
-    #[cfg(feature = "telemetry")]
+    /// The live telemetry state, if enabled. The
+    /// [`DriveSession`](crate::session::DriveSession) checks it once per
+    /// window to decide whether to relay scheduler events, and re-stamps
+    /// the relayed events with the model's slot clock.
     fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         None
     }
 
     /// Drains the underlying scheduler's decision events (stamped slot 0 —
     /// schedulers have no time base) into `sink`. Default: no events.
-    #[cfg(feature = "telemetry")]
     fn drain_scheduler_events(&mut self, _sink: &mut dyn FnMut(lcf_telemetry::Event)) {}
 
     /// Replaces the scheduler driving the model (online reconfiguration
@@ -137,22 +134,18 @@ impl<M: SwitchModel + ?Sized> SwitchModel for &mut M {
         (**self).buffered_packets()
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         (**self).enable_telemetry(trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         (**self).take_telemetry()
     }
 
-    #[cfg(feature = "telemetry")]
     fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         (**self).telemetry_mut()
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         (**self).drain_scheduler_events(sink);
     }
@@ -191,22 +184,18 @@ impl<M: SwitchModel + ?Sized> SwitchModel for Box<M> {
         (**self).buffered_packets()
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         (**self).enable_telemetry(trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         (**self).take_telemetry()
     }
 
-    #[cfg(feature = "telemetry")]
     fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         (**self).telemetry_mut()
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         (**self).drain_scheduler_events(sink);
     }
@@ -230,8 +219,7 @@ pub struct DriveOptions {
     /// Upper bound of the latency histogram in slots.
     pub max_latency_bucket: usize,
     /// `Some(cap)` enables telemetry for the measurement window with a trace
-    /// buffer of `cap` events (0 = unbounded). Ignored when the `telemetry`
-    /// feature is off.
+    /// buffer of `cap` events (0 = unbounded).
     pub trace_capacity: Option<usize>,
 }
 
@@ -278,13 +266,9 @@ pub fn drive(
     rng: &mut StdRng,
     opts: &DriveOptions,
 ) -> SimStats {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = opts.trace_capacity;
-
     let mut session =
         crate::session::DriveSession::new(model, traffic, rng, opts.max_latency_bucket);
     session.step_window(opts.warmup_slots);
-    #[cfg(feature = "telemetry")]
     if let Some(cap) = opts.trace_capacity {
         session.enable_telemetry(cap);
     }
@@ -295,10 +279,9 @@ pub fn drive(
 
 /// Moves the scheduler's decision events into the model's trace, re-stamped
 /// with the model's slot clock. The scratch buffer is owned by the
-/// [`DriveSession`](crate::session::DriveSession) and reused across slots;
-/// schedulers record events only while tracing, so this is a no-op for
-/// untraced runs.
-#[cfg(feature = "telemetry")]
+/// [`DriveSession`](crate::session::DriveSession) and reused across slots.
+/// The session runs the relay only in windows where the model records
+/// telemetry; untraced windows skip it.
 pub(crate) fn relay_scheduler_events(
     model: &mut dyn SwitchModel,
     scratch: &mut Vec<lcf_telemetry::Event>,
@@ -337,22 +320,18 @@ impl SwitchModel for IqSwitch {
         IqSwitch::buffered_packets(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         IqSwitch::enable_telemetry(self, trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         IqSwitch::take_telemetry(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         IqSwitch::telemetry_mut(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         IqSwitch::drain_scheduler_events(self, sink);
     }
@@ -388,22 +367,18 @@ impl SwitchModel for CioqSwitch {
         CioqSwitch::buffered_packets(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         CioqSwitch::enable_telemetry(self, trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         CioqSwitch::take_telemetry(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         CioqSwitch::telemetry_mut(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         CioqSwitch::drain_scheduler_events(self, sink);
     }

@@ -225,7 +225,8 @@ fn make_report(model: &str, cfg: &SimConfig, stats: &SimStats, backend: String) 
 
 /// Like [`run_sim`], but collects telemetry over the **measurement window**:
 /// scheduler decision events and slot-loop metrics go into a
-/// [`SwitchTelemetry`] capped at `trace_capacity` events (0 = unbounded).
+/// [`SwitchTelemetry`](crate::switch::SwitchTelemetry) capped at
+/// `trace_capacity` events (0 = unbounded).
 ///
 /// Tracing is enabled only after warm-up, so the trace describes exactly
 /// the slots the report's statistics do. The report itself is identical to
@@ -237,7 +238,6 @@ fn make_report(model: &str, cfg: &SimConfig, stats: &SimStats, backend: String) 
 ///
 /// # Panics
 /// Panics if the configuration fails [`SimConfig::validate`].
-#[cfg(feature = "telemetry")]
 pub fn run_sim_traced(
     cfg: &SimConfig,
     trace_capacity: usize,
@@ -362,7 +362,6 @@ where
 /// Same-name histograms from configs with *different* port counts cannot be
 /// merged (their value ranges differ); those keep the first run's shape and
 /// the conflict count is surfaced as `sweep.histogram_range_mismatches`.
-#[cfg(feature = "telemetry")]
 #[allow(clippy::type_complexity)]
 pub fn try_sweep_traced(
     configs: &[SimConfig],

@@ -28,6 +28,7 @@ use crate::stats::{Histogram, SimStats};
 use crate::traffic::Traffic;
 use rand::rngs::StdRng;
 use std::borrow::BorrowMut;
+use std::ops::Range;
 
 /// Per-slot total-backlog sampler, enabled by
 /// [`DriveSession::sample_occupancy`]. The histogram buckets are total
@@ -103,7 +104,6 @@ pub struct DriveSession<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> {
     next_slot: u64,
     max_latency_bucket: usize,
     occupancy: Option<OccupancySampler>,
-    #[cfg(feature = "telemetry")]
     scratch: Vec<lcf_telemetry::Event>,
 }
 
@@ -122,7 +122,6 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
             next_slot: 0,
             max_latency_bucket,
             occupancy: None,
-            #[cfg(feature = "telemetry")]
             scratch: Vec::new(),
         }
     }
@@ -198,7 +197,6 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
 
     /// Enables telemetry on the model with a trace buffer of
     /// `trace_capacity` events (0 = unbounded).
-    #[cfg(feature = "telemetry")]
     pub fn enable_telemetry(&mut self, trace_capacity: usize) {
         self.model.enable_telemetry(trace_capacity);
     }
@@ -220,20 +218,14 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
         let latency_sum0 = self.stats.latency_sum();
 
         // The sampler is taken out of the session for the duration of the
-        // loop, so the per-slot body has no `Option` probe at all (per-slot
-        // branch contract) and the borrow checker still allows `step_one`.
+        // loop, so the borrow checker still allows `step_one`. Scheduler
+        // events need relaying only while the model records telemetry,
+        // which changes between windows only.
         let mut sampler = self.occupancy.take();
-        if let Some(s) = sampler.as_mut() {
-            for slot in start..end {
-                self.step_one(slot);
-                let backlog = self.model.buffered_packets() as u64;
-                s.hist.add(backlog);
-                s.sum += backlog;
-            }
+        if self.model.telemetry_mut().is_some() {
+            self.step_slots::<true>(start..end, sampler.as_mut());
         } else {
-            for slot in start..end {
-                self.step_one(slot);
-            }
+            self.step_slots::<false>(start..end, sampler.as_mut());
         }
         self.occupancy = sampler;
         self.next_slot = end;
@@ -268,17 +260,40 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
         }
     }
 
-    /// One slot: model step plus the scheduler-event relay (telemetry
-    /// builds only).
-    fn step_one(&mut self, slot: u64) {
+    /// Steps `slots`, sampling the backlog after each one when `sampler` is
+    /// set and relaying scheduler events when `RELAY` is. Both are decided
+    /// once per window, so the per-slot body probes neither (per-slot
+    /// branch contract).
+    fn step_slots<const RELAY: bool>(
+        &mut self,
+        slots: Range<u64>,
+        sampler: Option<&mut OccupancySampler>,
+    ) {
+        if let Some(s) = sampler {
+            for slot in slots {
+                self.step_one::<RELAY>(slot);
+                let backlog = self.model.buffered_packets() as u64;
+                s.hist.add(backlog);
+                s.sum += backlog;
+            }
+        } else {
+            for slot in slots {
+                self.step_one::<RELAY>(slot);
+            }
+        }
+    }
+
+    /// One slot: model step, then the scheduler-event relay if `RELAY`.
+    fn step_one<const RELAY: bool>(&mut self, slot: u64) {
         self.model.step(
             slot,
             &mut self.traffic,
             self.rng.borrow_mut(),
             &mut self.stats,
         );
-        #[cfg(feature = "telemetry")]
-        crate::model::relay_scheduler_events(&mut self.model, &mut self.scratch);
+        if RELAY {
+            crate::model::relay_scheduler_events(&mut self.model, &mut self.scratch);
+        }
     }
 
     /// Graceful drain: swaps in `quiet` (a generator that produces no

@@ -8,7 +8,6 @@ use lcf_core::matching::Matching;
 use lcf_core::request::RequestMatrix;
 use lcf_core::traits::Scheduler;
 use lcf_core::weighted::{WeightMatrix, WeightedScheduler};
-#[cfg(feature = "telemetry")]
 use lcf_telemetry::{Event, MetricsRegistry, SlotClock, TraceBuffer};
 use rand::rngs::StdRng;
 
@@ -20,7 +19,6 @@ use rand::rngs::StdRng;
 /// Everything here is derived from the simulation state, never fed back
 /// into it — enabling telemetry cannot change a schedule (the equivalence
 /// test in `tests/telemetry_equiv.rs` holds the simulator to that).
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Default)]
 pub struct SwitchTelemetry {
     /// Decision/event trace (ring buffer; oldest events evicted when full).
@@ -115,7 +113,6 @@ pub struct IqSwitch {
     /// Per-slot arrival batch, reused across slots (hot-path memory
     /// contract: no per-slot allocation).
     arrivals: Vec<Option<usize>>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
@@ -182,7 +179,6 @@ impl IqSwitch {
             requests: RequestMatrix::new(n),
             last_matching: Matching::new(n),
             arrivals: vec![None; n],
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -190,7 +186,6 @@ impl IqSwitch {
     /// Starts recording telemetry: decision traces from the scheduler plus
     /// slot-loop metrics, into a trace buffer of `trace_capacity` events
     /// (0 = unbounded). Also turns on the scheduler's own tracing hook.
-    #[cfg(feature = "telemetry")]
     pub fn enable_telemetry(&mut self, trace_capacity: usize) {
         if let Engine::Boolean(s) = &mut self.engine {
             s.set_tracing(true);
@@ -204,7 +199,6 @@ impl IqSwitch {
 
     /// Stops recording and hands the collected telemetry back (None if
     /// telemetry was never enabled).
-    #[cfg(feature = "telemetry")]
     pub fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         if let Engine::Boolean(s) = &mut self.engine {
             s.set_tracing(false);
@@ -213,7 +207,6 @@ impl IqSwitch {
     }
 
     /// The telemetry collected so far, if enabled.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> Option<&SwitchTelemetry> {
         self.telemetry.as_deref()
     }
@@ -221,14 +214,12 @@ impl IqSwitch {
     /// Mutable access to the live telemetry state, if enabled. The shared
     /// `drive()` loop uses this to re-stamp drained scheduler events with
     /// the slot clock.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
         self.telemetry.as_deref_mut()
     }
 
     /// Drains the scheduler's decision events (stamped slot 0) into `sink`.
     /// Weighted engines record no events.
-    #[cfg(feature = "telemetry")]
     pub fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(Event)) {
         if let Engine::Boolean(s) = &mut self.engine {
             s.drain_events(sink);
@@ -259,13 +250,8 @@ impl IqSwitch {
         match &mut self.engine {
             Engine::Boolean(current) => {
                 // A live trace must keep flowing through the new engine.
-                #[cfg(feature = "telemetry")]
-                {
-                    let mut scheduler = scheduler;
-                    scheduler.set_tracing(self.telemetry.is_some());
-                    return Ok(std::mem::replace(current, scheduler));
-                }
-                #[cfg(not(feature = "telemetry"))]
+                let mut scheduler = scheduler;
+                scheduler.set_tracing(self.telemetry.is_some());
                 Ok(std::mem::replace(current, scheduler))
             }
             Engine::Weighted { .. } => Err("cannot swap a weighted engine".to_string()),
@@ -365,14 +351,31 @@ impl IqSwitch {
         rng: &mut StdRng,
         stats: &mut SimStats,
     ) -> &Matching {
+        if self.telemetry.is_some() {
+            self.step_slot::<true>(slot, traffic, rng, stats)
+        } else {
+            self.step_slot::<false>(slot, traffic, rng, stats)
+        }
+    }
+
+    /// One slot, with the telemetry recording sites compiled in only when
+    /// `TRACED`: the untraced copy carries none of them.
+    fn step_slot<const TRACED: bool>(
+        &mut self,
+        slot: u64,
+        traffic: &mut dyn Traffic,
+        rng: &mut StdRng,
+        stats: &mut SimStats,
+    ) -> &Matching {
         let n = self.n;
         // One telemetry probe for the whole arrival stage (per-slot-branch
         // contract): the `Option` is resolved here once; the per-input loop
-        // below never re-probes it. In non-telemetry builds this compiles
-        // away entirely.
-        #[cfg(feature = "telemetry")]
-        let mut tel = self.telemetry.as_deref_mut();
-        #[cfg(feature = "telemetry")]
+        // below never re-probes it.
+        let mut tel = if TRACED {
+            self.telemetry.as_deref_mut()
+        } else {
+            None
+        };
         if let Some(t) = tel.as_deref_mut() {
             t.clock.seek(slot);
         }
@@ -389,7 +392,6 @@ impl IqSwitch {
             if !self.pqs[input].push(Packet::new(input, dst, slot)) {
                 dropped += 1;
                 stats.on_drop_pq();
-                #[cfg(feature = "telemetry")]
                 if let Some(t) = tel.as_deref_mut() {
                     t.trace.push(
                         Event::new(t.clock.slot(), "drop_pq")
@@ -399,13 +401,10 @@ impl IqSwitch {
                 }
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (generated, dropped);
         // Counter totals are identical to the old per-arrival increments;
         // the lazily created counters also keep their "only exists if it
         // ever fired" semantics via the > 0 guards.
-        #[cfg(feature = "telemetry")]
-        if let Some(t) = tel.as_deref_mut() {
+        if let Some(t) = tel {
             if generated > 0 {
                 t.metrics.counter_add("sim.generated", generated);
             }
@@ -546,8 +545,7 @@ impl IqSwitch {
         // Per-slot occupancy and matching metrics. Histogram ranges cover
         // every reachable value (n matches per slot, n*n non-empty VOQs) so
         // the distributions never overflow.
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() {
+        if TRACED && self.telemetry.is_some() {
             let matched = self.last_matching.size();
             let buffered = self.buffered_packets() as f64;
             let nonempty = match &self.inputs {

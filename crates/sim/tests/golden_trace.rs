@@ -10,10 +10,8 @@
 //! or stream break. To re-bless deliberately:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p lcf-sim --features telemetry --test golden_trace
+//! UPDATE_GOLDEN=1 cargo test -p lcf-sim --test golden_trace
 //! ```
-
-#![cfg(feature = "telemetry")]
 
 use lcf_core::registry::SchedulerKind;
 use lcf_sim::config::{ModelKind, SimConfig};

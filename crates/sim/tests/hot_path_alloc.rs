@@ -3,12 +3,17 @@
 //! `CioqSwitch::step` perform no heap allocation at all — no per-slot
 //! buffers, no request-matrix rebuilds, and no further VOQ slab growth.
 //!
+//! The same holds for a `DriveSession` whose tracing was switched on and
+//! back off: tracing is a runtime switch, and once it is off the
+//! always-compiled trace path does no work.
+//!
 //! A counting global allocator wraps the system one. The counter is
 //! thread-local, so the test harness's other threads cannot disturb it.
 
 use lcf_core::bitkern::Backend;
 use lcf_core::registry::SchedulerKind;
 use lcf_sim::cioq::CioqSwitch;
+use lcf_sim::session::DriveSession;
 use lcf_sim::stats::SimStats;
 use lcf_sim::switch::{IqSwitch, QueueMode};
 use lcf_sim::traffic::{Bernoulli, DestPattern};
@@ -129,6 +134,54 @@ fn cioq_switch_step_is_allocation_free_once_saturated() {
         sw.step(slot, t, rng, stats);
     });
     assert_eq!(allocs, 0, "CioqSwitch::step allocated in steady state");
+}
+
+#[test]
+fn drive_session_is_allocation_free_after_tracing_is_switched_off() {
+    let (scheduler, _) = SchedulerKind::LcfCentral.build_with_backend(N, 4, 7, Backend::Bitset);
+    let sw = IqSwitch::new(N, scheduler, QueueMode::Voq { cap: VOQ_CAP }, PQ_CAP);
+    let pattern = DestPattern::Hotspot {
+        hot: 3,
+        fraction: 0.5,
+    };
+    let traffic = Bernoulli::new(N, 1.0, pattern);
+    let mut session = DriveSession::new(sw, traffic, StdRng::seed_from_u64(11), 256);
+
+    // A traced window, then tracing off and a fresh scheduler swapped in.
+    session.enable_telemetry(0);
+    session.step_window(200);
+    let telemetry = session
+        .model_mut()
+        .take_telemetry()
+        .expect("telemetry was enabled");
+    assert!(
+        !telemetry.trace.is_empty(),
+        "the traced window recorded events"
+    );
+    let (fresh, _) = SchedulerKind::LcfDistRr.build_with_backend(N, 4, 7, Backend::Bitset);
+    session
+        .model_mut()
+        .swap_scheduler(fresh)
+        .expect("boolean engine swaps");
+
+    session.step_window(2_000);
+    assert!(
+        session.stats().dropped_pq > 0,
+        "warm-up must saturate the PQs"
+    );
+    let before = allocations();
+    session.step_window(5_000);
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "DriveSession::step_window allocated after tracing was switched off"
+    );
+
+    let mut events = 0usize;
+    session
+        .model_mut()
+        .drain_scheduler_events(&mut |_| events += 1);
+    assert_eq!(events, 0, "an untraced scheduler buffered decision events");
 }
 
 #[test]

@@ -115,7 +115,6 @@ fn window_latency_sums_partition_the_one_shot_sum() {
 /// Same equivalence with telemetry enabled: the decision trace and metrics
 /// registry are byte-identical whether the measurement ran as one window or
 /// many.
-#[cfg(feature = "telemetry")]
 #[test]
 fn windowed_stepping_matches_one_shot_trace() {
     let (mut model, mut traffic, mut rng) = build(SchedulerKind::LcfCentralRr, Backend::Bitset, 7);
