@@ -68,6 +68,7 @@ fn bench_sim_models(c: &mut Criterion) {
                         std::hint::black_box(stats.delivered)
                     });
                 }
+                ModelKind::Weighted(_) => unreachable!("no weighted model in the timed lineup"),
             }
         });
     }

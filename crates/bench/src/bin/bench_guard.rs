@@ -210,6 +210,7 @@ fn check_kernel_ratio(baseline: &str, name: &str, n: usize, floor: f64) -> usize
 /// load 0.99), mirroring the `sim_heavy` criterion group with the guard's
 /// cruder timer.
 fn measure_heavy_slot(backend: Backend, fast_traffic: bool) -> f64 {
+    use lcf_sim::session::DriveSession;
     use lcf_sim::stats::SimStats;
     use lcf_sim::switch::{IqSwitch, QueueMode};
     use lcf_sim::traffic::{Bernoulli, DestPattern, FastBernoulli, Traffic};
@@ -228,14 +229,11 @@ fn measure_heavy_slot(backend: Backend, fast_traffic: bool) -> f64 {
         Box::new(Bernoulli::new(n, 0.99, DestPattern::Uniform))
     };
     let mut rng = StdRng::seed_from_u64(1);
-    let mut stats = SimStats::new(n, 0, 4096);
-    let mut slot = 0u64;
 
     // Warm-up fills the queues to the load-0.99 steady state.
-    for _ in 0..SLOTS_PER_SAMPLE {
-        sw.step(slot, traffic.as_mut(), &mut rng, &mut stats);
-        slot += 1;
-    }
+    DriveSession::new(&mut sw, traffic.as_mut(), &mut rng, 4096).step_window(SLOTS_PER_SAMPLE);
+    let mut stats = SimStats::new(n, SLOTS_PER_SAMPLE, 4096);
+    let mut slot = SLOTS_PER_SAMPLE;
 
     let mut samples: Vec<f64> = (0..HEAVY_SAMPLES)
         .map(|_| {

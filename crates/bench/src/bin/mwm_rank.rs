@@ -5,9 +5,8 @@
 //! and throughput is left on the table by the practical schedulers? This
 //! experiment ranks `islip`, `lcf_central_rr`, `lqf`, `nwgreedy` and `mwm`
 //! on mean/p99 delay and throughput under uniform, diagonal (nonuniform)
-//! and hotspot load, with `run_replicated` / `run_replicated_weighted`
-//! 95% confidence intervals so an ordering claim is only made when the
-//! intervals separate.
+//! and hotspot load, with `run_replicated` 95% confidence intervals so an
+//! ordering claim is only made when the intervals separate.
 //!
 //! The interesting row is hotspot: the hot output runs near critical
 //! utilization, and queue-length weights steer service toward the backlog
@@ -24,34 +23,8 @@ use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, f2, write_csv};
 use lcf_core::registry::{SchedulerKind, WeightedKind};
 use lcf_sim::config::{ModelKind, SimConfig};
-use lcf_sim::runner::{run_replicated, run_replicated_weighted, ReplicatedReport};
+use lcf_sim::runner::run_replicated;
 use lcf_sim::traffic::DestPattern;
-
-/// One contender: either a Fig. 12 registry scheduler or a weighted kind.
-enum Contender {
-    Boolean(SchedulerKind),
-    Weighted(WeightedKind),
-}
-
-impl Contender {
-    fn name(&self) -> &'static str {
-        match self {
-            Contender::Boolean(kind) => kind.name(),
-            Contender::Weighted(kind) => kind.name(),
-        }
-    }
-
-    fn run(&self, cfg: &SimConfig, replications: usize) -> ReplicatedReport {
-        match self {
-            Contender::Boolean(kind) => {
-                let mut cfg = cfg.clone();
-                cfg.model = ModelKind::Scheduler(*kind);
-                run_replicated(&cfg, replications)
-            }
-            Contender::Weighted(kind) => run_replicated_weighted(cfg, *kind, replications),
-        }
-    }
-}
 
 fn main() {
     let quick = cli::quick_mode();
@@ -63,11 +36,11 @@ fn main() {
     };
 
     let contenders = [
-        Contender::Boolean(SchedulerKind::Islip),
-        Contender::Boolean(SchedulerKind::LcfCentralRr),
-        Contender::Weighted(WeightedKind::Lqf),
-        Contender::Weighted(WeightedKind::NwGreedy),
-        Contender::Weighted(WeightedKind::Mwm),
+        ModelKind::Scheduler(SchedulerKind::Islip),
+        ModelKind::Scheduler(SchedulerKind::LcfCentralRr),
+        ModelKind::Weighted(WeightedKind::Lqf),
+        ModelKind::Weighted(WeightedKind::NwGreedy),
+        ModelKind::Weighted(WeightedKind::Mwm),
     ];
     let scenarios: [(&str, DestPattern, f64); 3] = [
         ("uniform", DestPattern::Uniform, 0.95),
@@ -92,10 +65,11 @@ fn main() {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    for contender in &contenders {
+    for contender in contenders {
         let mut row = vec![contender.name().to_string()];
         for (scenario, pattern, load) in &scenarios {
             let cfg = SimConfig {
+                model: contender,
                 load: *load,
                 pattern: pattern.clone(),
                 warmup_slots: warmup,
@@ -106,7 +80,7 @@ fn main() {
                 max_latency_bucket: 65_536,
                 ..SimConfig::paper_default()
             };
-            let rep = contender.run(&cfg, replications);
+            let rep = run_replicated(&cfg, replications);
             row.push(format!(
                 "{:.1}±{:.1} / {:.4}",
                 rep.mean_latency.mean, rep.mean_latency.half_width, rep.throughput.mean

@@ -13,9 +13,9 @@ use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, f2, write_csv};
 use lcf_core::registry::SchedulerKind;
 use lcf_sim::cioq::CioqSwitch;
-use lcf_sim::config::SimConfig;
-use lcf_sim::outbuf::ObSwitch;
-use lcf_sim::stats::SimStats;
+use lcf_sim::config::{ModelKind, SimConfig};
+use lcf_sim::model::{drive, DriveOptions};
+use lcf_sim::runner::run_sim;
 use lcf_sim::traffic::{Bernoulli, DestPattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,33 +33,8 @@ fn run_cioq(cfg: &SimConfig, speedup: usize, load: f64) -> f64 {
     );
     let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-    for slot in 0..cfg.warmup_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut warm);
-    }
-    let start = cfg.warmup_slots;
-    let mut stats = SimStats::new(n, start, cfg.max_latency_bucket);
-    for slot in start..start + cfg.measure_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
-    }
-    stats.mean_latency()
-}
-
-fn run_outbuf(cfg: &SimConfig, load: f64) -> f64 {
-    let n = cfg.n;
-    let mut sw = ObSwitch::new(n, cfg.pq_cap, cfg.outbuf_cap);
-    let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-    for slot in 0..cfg.warmup_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut warm);
-    }
-    let start = cfg.warmup_slots;
-    let mut stats = SimStats::new(n, start, cfg.max_latency_bucket);
-    for slot in start..start + cfg.measure_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
-    }
-    stats.mean_latency()
+    let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket);
+    drive(&mut sw, &mut traffic, &mut rng, &opts).mean_latency()
 }
 
 fn main() {
@@ -91,7 +66,12 @@ fn main() {
     }
     let mut ob_row = vec!["outbuf".to_string()];
     for &load in &loads {
-        let lat = run_outbuf(&cfg, load);
+        let lat = run_sim(&SimConfig {
+            model: ModelKind::OutputBuffered,
+            load,
+            ..cfg.clone()
+        })
+        .mean_latency_slots;
         ob_row.push(f2(lat));
         csv_rows.push(vec!["outbuf".into(), format!("{load}"), format!("{lat}")]);
     }

@@ -14,7 +14,7 @@ use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, write_csv};
 use lcf_core::registry::SchedulerKind;
 use lcf_sim::config::SimConfig;
-use lcf_sim::stats::SimStats;
+use lcf_sim::session::DriveSession;
 use lcf_sim::switch::{IqSwitch, QueueMode};
 use lcf_sim::traffic::{Bernoulli, DestPattern};
 use rand::rngs::StdRng;
@@ -47,33 +47,43 @@ fn main() {
             QueueMode::Voq { cap: cfg.voq_cap }
         };
         let mut sw = IqSwitch::new(n, kind.build(n, cfg.iterations, seed), mode, cfg.pq_cap);
-        let mut overload = Bernoulli::new(n, 1.0, DestPattern::Uniform);
-        let mut normal = Bernoulli::new(n, 0.5, DestPattern::Uniform);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut stats = SimStats::new(n, 0, cfg.max_latency_bucket);
+        let mut session = DriveSession::new(
+            &mut sw,
+            Bernoulli::new(n, 1.0, DestPattern::Uniform),
+            StdRng::seed_from_u64(seed),
+            cfg.max_latency_bucket,
+        );
 
+        // The session steps a whole sample period between samples, except
+        // after the load step, where it steps slot by slot until the
+        // backlog first falls below n.
         let mut samples = Vec::new();
         let mut drained_at: Option<u64> = None;
-        for slot in 0..2 * phase {
-            let traffic: &mut Bernoulli = if slot < phase {
-                &mut overload
+        while session.slot() < 2 * phase {
+            if session.slot() == phase {
+                session.set_traffic(Bernoulli::new(n, 0.5, DestPattern::Uniform));
+            }
+            let probing = session.slot() >= phase && drained_at.is_none();
+            let window = if probing {
+                1
             } else {
-                &mut normal
+                sample_every - session.slot() % sample_every
             };
-            sw.step(slot, traffic, &mut rng, &mut stats);
-            if slot % sample_every == sample_every - 1 {
-                samples.push(sw.buffered_packets());
+            let backlog = session.step_window(window).backlog;
+            let slot = session.slot();
+            if probing && backlog < n {
+                drained_at = Some(slot - 1 - phase);
+            }
+            if slot % sample_every == 0 {
+                samples.push(backlog);
                 if kind == kinds[0] {
-                    sample_slots.push(slot + 1);
+                    sample_slots.push(slot);
                 }
                 csv_rows.push(vec![
                     kind.name().to_string(),
-                    (slot + 1).to_string(),
-                    sw.buffered_packets().to_string(),
+                    slot.to_string(),
+                    backlog.to_string(),
                 ]);
-            }
-            if slot >= phase && drained_at.is_none() && sw.buffered_packets() < n {
-                drained_at = Some(slot - phase);
             }
         }
 

@@ -15,7 +15,7 @@ use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, f2, write_csv};
 use lcf_core::registry::SchedulerKind;
 use lcf_sim::config::SimConfig;
-use lcf_sim::stats::SimStats;
+use lcf_sim::session::DriveSession;
 use lcf_sim::switch::{IqSwitch, QueueMode};
 use lcf_sim::traffic::{Bernoulli, DestPattern};
 use rand::rngs::StdRng;
@@ -35,22 +35,22 @@ fn run(kind: SchedulerKind, load: f64, cfg: &SimConfig) -> Probe {
         QueueMode::Voq { cap: cfg.voq_cap },
         cfg.pq_cap,
     );
-    let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-    for slot in 0..cfg.warmup_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut warm);
-    }
-    let start = cfg.warmup_slots;
-    let mut stats = SimStats::new(n, start, cfg.max_latency_bucket);
+    let mut session = DriveSession::new(
+        &mut sw,
+        Bernoulli::new(n, load, DestPattern::Uniform),
+        StdRng::seed_from_u64(cfg.seed),
+        cfg.max_latency_bucket,
+    );
+    session.step_window(cfg.warmup_slots);
+    session.begin_measurement();
     let (mut choice_sum, mut std_sum) = (0.0, 0.0);
-    for slot in start..start + cfg.measure_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
-        choice_sum += sw.mean_choice();
-        std_sum += sw.voq_length_std_dev();
+    for _ in 0..cfg.measure_slots {
+        session.step_window(1);
+        choice_sum += session.model_mut().mean_choice();
+        std_sum += session.model_mut().voq_length_std_dev();
     }
     Probe {
-        latency: stats.mean_latency(),
+        latency: session.stats().mean_latency(),
         mean_choice: choice_sum / cfg.measure_slots as f64,
         voq_std: std_sum / cfg.measure_slots as f64,
     }

@@ -12,110 +12,76 @@
 
 use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, f2, write_csv};
-use lcf_core::registry::SchedulerKind;
-use lcf_core::weighted::GreedyWeight;
-use lcf_sim::config::SimConfig;
-use lcf_sim::stats::SimStats;
-use lcf_sim::switch::{IqSwitch, QueueMode, WeightSource};
-use lcf_sim::traffic::{Bernoulli, DestPattern, OnOffBursty, Traffic};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-struct Outcome {
-    mean: f64,
-    p99: u64,
-    throughput: f64,
-}
-
-fn run(sw: &mut IqSwitch, traffic: &mut dyn Traffic, cfg: &SimConfig) -> Outcome {
-    let n = cfg.n;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-    for slot in 0..cfg.warmup_slots {
-        sw.step(slot, traffic, &mut rng, &mut warm);
-    }
-    let start = cfg.warmup_slots;
-    let mut stats = SimStats::new(n, start, cfg.max_latency_bucket);
-    for slot in start..start + cfg.measure_slots {
-        sw.step(slot, traffic, &mut rng, &mut stats);
-    }
-    Outcome {
-        mean: stats.mean_latency(),
-        p99: stats.latency_quantile(0.99),
-        throughput: stats.delivered as f64 / (cfg.measure_slots as f64 * n as f64),
-    }
-}
-
-fn build_switch(name: &str, cfg: &SimConfig) -> IqSwitch {
-    let n = cfg.n;
-    match name {
-        "lqf" => IqSwitch::new_weighted(
-            n,
-            Box::new(GreedyWeight::new(n, "lqf")),
-            WeightSource::QueueLength,
-            cfg.voq_cap,
-            cfg.pq_cap,
-        ),
-        "ocf" => IqSwitch::new_weighted(
-            n,
-            Box::new(GreedyWeight::new(n, "ocf")),
-            WeightSource::HolAge,
-            cfg.voq_cap,
-            cfg.pq_cap,
-        ),
-        _ => IqSwitch::new(
-            n,
-            SchedulerKind::from_name(name)
-                .expect("known scheduler")
-                .build(n, cfg.iterations, cfg.seed),
-            QueueMode::Voq { cap: cfg.voq_cap },
-            cfg.pq_cap,
-        ),
-    }
-}
+use lcf_core::registry::{SchedulerKind, WeightedKind};
+use lcf_sim::config::{ModelKind, SimConfig, TrafficKind};
+use lcf_sim::runner::sweep;
+use lcf_sim::traffic::DestPattern;
 
 fn main() {
     let quick = cli::quick_mode();
     let seed = cli::seed_arg().unwrap_or(0xEE);
-    let mut cfg = SimConfig::paper_default();
-    cfg.seed = seed;
+    let mut base = SimConfig::paper_default();
+    base.seed = seed;
     if quick {
-        cfg.warmup_slots = 10_000;
-        cfg.measure_slots = 40_000;
+        base.warmup_slots = 10_000;
+        base.measure_slots = 40_000;
     } else {
-        cfg.warmup_slots = 40_000;
-        cfg.measure_slots = 160_000;
+        base.warmup_slots = 40_000;
+        base.measure_slots = 160_000;
     }
 
-    let contenders = ["lcf_central_rr", "lqf", "ocf", "islip"];
+    let contenders = [
+        ModelKind::Scheduler(SchedulerKind::LcfCentralRr),
+        ModelKind::Weighted(WeightedKind::Lqf),
+        ModelKind::Weighted(WeightedKind::Ocf),
+        ModelKind::Scheduler(SchedulerKind::Islip),
+    ];
     let scenarios: Vec<(&str, f64)> = vec![
         ("uniform", 0.9),
         ("uniform", 0.99),
         ("bursty16", 0.8),
         ("diagonal", 0.9),
     ];
+    let mut configs = Vec::new();
+    for model in contenders {
+        for &(scenario, load) in &scenarios {
+            let (traffic, pattern) = match scenario {
+                "bursty16" => (
+                    TrafficKind::Bursty { mean_burst: 16.0 },
+                    DestPattern::Uniform,
+                ),
+                "diagonal" => (TrafficKind::Bernoulli, DestPattern::Diagonal),
+                _ => (TrafficKind::Bernoulli, DestPattern::Uniform),
+            };
+            configs.push(SimConfig {
+                model,
+                load,
+                traffic,
+                pattern,
+                ..base.clone()
+            });
+        }
+    }
 
     eprintln!("weighted: 16 ports, seed={seed}");
+    let reports = sweep(&configs);
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
-    for name in contenders {
-        let mut row = vec![name.to_string()];
-        for &(scenario, load) in &scenarios {
-            let mut sw = build_switch(name, &cfg);
-            let mut traffic: Box<dyn Traffic> = match scenario {
-                "bursty16" => Box::new(OnOffBursty::new(cfg.n, load, 16.0, DestPattern::Uniform)),
-                "diagonal" => Box::new(Bernoulli::new(cfg.n, load, DestPattern::Diagonal)),
-                _ => Box::new(Bernoulli::new(cfg.n, load, DestPattern::Uniform)),
-            };
-            let o = run(&mut sw, traffic.as_mut(), &cfg);
-            row.push(format!("{} / p99 {}", f2(o.mean), o.p99));
+    for per_model in reports.chunks(scenarios.len()) {
+        let mut row = vec![per_model[0].model.clone()];
+        for (r, &(scenario, load)) in per_model.iter().zip(&scenarios) {
+            row.push(format!(
+                "{} / p99 {}",
+                f2(r.mean_latency_slots),
+                r.p99_latency
+            ));
             csv_rows.push(vec![
-                name.to_string(),
+                r.model.clone(),
                 scenario.to_string(),
                 format!("{load}"),
-                format!("{}", o.mean),
-                o.p99.to_string(),
-                format!("{}", o.throughput),
+                format!("{}", r.mean_latency_slots),
+                r.p99_latency.to_string(),
+                format!("{}", r.throughput),
             ]);
         }
         rows.push(row);

@@ -1,20 +1,8 @@
 //! # lcf-bench — table/figure regeneration harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` for the full
-//! index):
-//!
-//! | Binary | Regenerates |
-//! |---|---|
-//! | `table1` | Table 1 — gate/register counts |
-//! | `table2` | Table 2 — scheduling task timing |
-//! | `fig10`  | Fig. 10 — communication cost central vs distributed |
-//! | `fig12`  | Fig. 12a/b — queueing delay vs load, 9 schedulers |
-//! | `matchsize` | EXT-1 — matching size vs Hopcroft–Karp maximum |
-//! | `iterations` | EXT-2 — distributed LCF convergence vs n |
-//! | `nonuniform` | EXT-3 — throughput under hotspot/diagonal traffic |
-//! | `fairness` | EXT-4 — b/n² lower bound and pure-LCF starvation |
-//! | `bursty` | EXT-6 — on-off traffic latency |
-//! | `clint_channels` | EXT-7 — Clint bulk vs quick channel |
+//! One binary per paper table/figure and per extension experiment. The
+//! index is `DESIGN.md` §3: the paper-artefact table and the EXT table
+//! name each binary's `--bin`.
 //!
 //! Every binary prints an ASCII table to stdout and writes a CSV under
 //! `results/`. Pass `--quick` for a shorter (less converged) run.

@@ -57,10 +57,10 @@ pub fn help() -> String {
      \x20            [--loss 0.1] [--load 0.3] [--timeout 16] [--slots 20000]\n\
      \n\
      Scheduler names: lcf_central lcf_central_rr lcf_dist lcf_dist_rr pim\n\
-     islip wfront fifo maxsize mwm (plus `outbuf` for simulate/sweep, and\n\
-     the weighted schedulers `lqf` `ocf` `nwgreedy` `mwm` for simulate —\n\
-     there `mwm` runs queue-length-weighted; in schedule/sweep it is the\n\
-     unit-weight reference matcher).\n"
+     islip wfront fifo maxsize mwm (plus `outbuf` and the weighted\n\
+     schedulers `lqf` `ocf` `nwgreedy` for simulate/sweep; simulate runs\n\
+     `mwm` queue-length-weighted, in schedule/sweep it is the unit-weight\n\
+     reference matcher).\n"
         .to_string()
 }
 
@@ -222,18 +222,23 @@ pub fn schedule(args: &Args) -> Result<String, String> {
 /// `lcf simulate`.
 pub fn simulate(args: &Args) -> Result<String, String> {
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
-    // The weighted schedulers live outside the Fig. 12 registry; they get
-    // a dedicated simulation loop with identical semantics. `mwm` is both
-    // a weighted kind and a boolean registry kind — `simulate` prefers the
-    // weighted (queue-length MWM) reading, which is the meaningful
-    // simulation; the unit-weight reference stays reachable via `sweep`.
-    if let Some(kind) = WeightedKind::from_name(name) {
-        return simulate_weighted(args, kind);
-    }
-    let model =
-        ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
+    // `mwm` is both a weighted kind and a boolean registry kind —
+    // `simulate` prefers the weighted (queue-length MWM) reading, which is
+    // the meaningful simulation; the unit-weight reference stays reachable
+    // via `sweep`.
+    let model = match WeightedKind::from_name(name) {
+        Some(kind) => ModelKind::Weighted(kind),
+        None => {
+            ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?
+        }
+    };
     let cfg = sim_config(args, model)?;
     if wants_telemetry(args) {
+        if let ModelKind::Weighted(_) = model {
+            return Err("weighted schedulers record no decision traces; \
+                 drop --trace/--metrics"
+                .into());
+        }
         let cap = args.get_parsed("trace-cap", 0usize)?;
         let (report, telemetry) = lcf_sim::runner::run_sim_traced(&cfg, cap);
         let mut out = report_block(&report);
@@ -290,19 +295,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
     )
     .unwrap();
     Ok(out)
-}
-
-fn simulate_weighted(args: &Args, kind: WeightedKind) -> Result<String, String> {
-    // Parse shared parameters via a placeholder model; the runner ignores
-    // `cfg.model` on the weighted path and takes the scheduler from `kind`.
-    let cfg = sim_config(args, ModelKind::Scheduler(SchedulerKind::LcfCentral))?;
-    if wants_telemetry(args) {
-        return Err("weighted schedulers record no decision traces; \
-             drop --trace/--metrics"
-            .into());
-    }
-    let report = lcf_sim::runner::run_sim_weighted(&cfg, kind);
-    Ok(report_block(&report))
 }
 
 /// `lcf sweep`.
@@ -461,8 +453,14 @@ pub fn trace(args: &Args) -> Result<String, String> {
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
     let model =
         ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
-    if model == ModelKind::OutputBuffered {
-        return Err("the output-buffered model has no scheduler to trace".into());
+    match model {
+        ModelKind::OutputBuffered => {
+            return Err("the output-buffered model has no scheduler to trace".into())
+        }
+        ModelKind::Weighted(_) => {
+            return Err("weighted schedulers record no decision traces".into())
+        }
+        ModelKind::Scheduler(_) => {}
     }
     let n = args.get_parsed("ports", 4usize)?;
     let cfg = SimConfig {
@@ -818,6 +816,26 @@ mod tests {
         let out = sweep(&args).unwrap();
         assert!(out.contains("lcf_central"));
         assert!(out.contains("pim"));
+    }
+
+    #[test]
+    fn sweep_and_trace_take_weighted_models() {
+        let args = parse(&[
+            "--loads",
+            "0.5",
+            "--schedulers",
+            "lqf,nwgreedy,lcf_central",
+            "--ports",
+            "8",
+            "--slots",
+            "2000",
+            "--warmup",
+            "500",
+        ]);
+        let out = sweep(&args).unwrap();
+        assert!(out.contains("lqf") && out.contains("nwgreedy"), "{out}");
+        let err = trace(&parse(&["--scheduler", "ocf"])).unwrap_err();
+        assert!(err.contains("no decision traces"), "{err}");
     }
 
     #[test]

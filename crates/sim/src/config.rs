@@ -2,7 +2,7 @@
 
 use crate::traffic::DestPattern;
 use lcf_core::bitkern::Backend;
-use lcf_core::registry::SchedulerKind;
+use lcf_core::registry::{SchedulerKind, WeightedKind};
 
 /// Which switch architecture / scheduler a simulation models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -12,6 +12,10 @@ pub enum ModelKind {
     Scheduler(SchedulerKind),
     /// Output-buffered switch (`outbuf` in Fig. 12) — no scheduler at all.
     OutputBuffered,
+    /// VOQ switch driven by a weighted scheduler (LQF/OCF, `nwgreedy`, the
+    /// exact MWM), fed queue-length or head-of-line-age weights per
+    /// [`WeightedKind::age_weighted`].
+    Weighted(WeightedKind),
 }
 
 impl ModelKind {
@@ -20,15 +24,20 @@ impl ModelKind {
         match self {
             ModelKind::Scheduler(kind) => kind.name(),
             ModelKind::OutputBuffered => "outbuf",
+            ModelKind::Weighted(kind) => kind.name(),
         }
     }
 
-    /// Parses a Fig. 12 legend name.
+    /// Parses a model name: `outbuf`, then the boolean registry, then the
+    /// weighted kinds. `mwm` names both a boolean registry kind and a
+    /// weighted kind; the boolean (unit-weight) reading wins here.
     pub fn from_name(name: &str) -> Option<ModelKind> {
         if name == "outbuf" {
             Some(ModelKind::OutputBuffered)
         } else {
-            SchedulerKind::from_name(name).map(ModelKind::Scheduler)
+            SchedulerKind::from_name(name)
+                .map(ModelKind::Scheduler)
+                .or_else(|| WeightedKind::from_name(name).map(ModelKind::Weighted))
         }
     }
 
@@ -249,6 +258,14 @@ mod tests {
             assert_eq!(ModelKind::from_name(model.name()), Some(model));
         }
         assert_eq!(ModelKind::from_name("nonsense"), None);
+        assert_eq!(
+            ModelKind::from_name("lqf"),
+            Some(ModelKind::Weighted(WeightedKind::Lqf))
+        );
+        assert_eq!(
+            ModelKind::from_name("mwm"),
+            Some(ModelKind::Scheduler(SchedulerKind::MaxWeight))
+        );
     }
 
     #[test]

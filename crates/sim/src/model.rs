@@ -6,8 +6,9 @@
 //! ([`ObSwitch`]) — advances one time slot at a time under the same
 //! warm-up/measure protocol. Before this trait existed the protocol was
 //! duplicated four times (`run_sim`, `run_sim_with_stats`, `run_sim_traced`
-//! and ad-hoc test loops); now there is exactly one [`drive`] function and
-//! the models only implement [`SwitchModel::step`].
+//! and ad-hoc test loops); now there is exactly one [`drive`] function, a
+//! wrapper over the [`DriveSession`] window loop, and the models only
+//! implement [`SwitchModel::step`].
 //!
 //! ```text
 //!                 ┌───────────────────────────────┐
@@ -22,16 +23,19 @@
 //!  VOQ / FIFO       pipeline L
 //! ```
 //!
-//! Telemetry flows one way: [`drive`] drains each model's scheduler events
-//! after every step, re-stamps them with the model's slot clock and pushes
-//! them into the model's trace buffer. Models therefore never re-stamp
-//! events themselves — a traced CIOQ or output-buffered path cannot forget
-//! the stamping, because it never does it.
+//! Telemetry flows one way: in every window where the model records
+//! telemetry, the [`DriveSession`] drains the model's scheduler events
+//! after each step, re-stamps them with the model's slot clock and pushes
+//! them into the model's trace buffer; untraced windows skip the relay.
+//! Models therefore never re-stamp events themselves — a traced CIOQ or
+//! output-buffered path cannot forget the stamping, because it never does
+//! it.
 //!
 //! [`IqSwitch`]: crate::switch::IqSwitch
 //! [`CrossbarSwitch`]: crate::switch::CrossbarSwitch
 //! [`CioqSwitch`]: crate::cioq::CioqSwitch
 //! [`ObSwitch`]: crate::outbuf::ObSwitch
+//! [`DriveSession`]: crate::session::DriveSession
 
 use crate::cioq::CioqSwitch;
 use crate::outbuf::ObSwitch;
@@ -241,9 +245,9 @@ impl DriveOptions {
     }
 }
 
-/// The single warm-up/measure slot loop shared by every switch model and
+/// The single warm-up/measure protocol shared by every switch model and
 /// every runner entry point (`run_sim`, `run_sim_with_stats`,
-/// `run_sim_traced`, tests and benches).
+/// `run_sim_traced`), the CIOQ experiment binaries, tests and benches.
 ///
 /// Protocol:
 ///
@@ -254,10 +258,10 @@ impl DriveOptions {
 /// 3. **Measure** — `measure_slots` steps into a fresh [`SimStats`] whose
 ///    latency samples only come from packets generated inside the window.
 ///
-/// After every step the model's scheduler events are drained, re-stamped
-/// with the current slot and appended to the model's trace (telemetry
-/// builds only). Collect the trace afterwards with
-/// `SwitchModel::take_telemetry`.
+/// In a traced run the measurement window relays the model's scheduler
+/// events after every step, re-stamped with the current slot, into the
+/// model's trace; the untraced warm-up and untraced runs skip the relay.
+/// Collect the trace afterwards with `SwitchModel::take_telemetry`.
 ///
 /// Returns the measurement-window statistics.
 pub fn drive(

@@ -78,7 +78,10 @@ impl SimReport {
 /// In checked debug builds the scheduler is wrapped in a
 /// [`CheckedScheduler`](lcf_core::check::CheckedScheduler) that validates
 /// every matching in the slot loop (and shadows bitset kernels with their
-/// scalar twin); release builds run the bare scheduler.
+/// scalar twin), or in a
+/// [`CheckedWeightedScheduler`](lcf_core::check::CheckedWeightedScheduler)
+/// (validity + weight-bound oracle per slot) for the weighted models;
+/// release builds run the bare scheduler.
 pub(crate) fn build_model(cfg: &SimConfig) -> (Box<dyn SwitchModel>, String) {
     match cfg.model {
         ModelKind::OutputBuffered => (
@@ -97,6 +100,10 @@ pub(crate) fn build_model(cfg: &SimConfig) -> (Box<dyn SwitchModel>, String) {
                 choice,
             )
         }
+        ModelKind::Weighted(kind) => (
+            Box::new(build_weighted_switch(cfg, kind)),
+            BackendChoice::NoKernel.to_string(),
+        ),
     }
 }
 
@@ -114,6 +121,21 @@ pub(crate) fn build_scheduler(
     #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
     let (scheduler, choice) = kind.build_with_backend(cfg.n, iterations, seed, cfg.backend);
     (scheduler, choice.to_string())
+}
+
+/// Builds the [`ModelKind::Weighted`] switch for `kind`: queue-length or
+/// head-of-line-age weights per [`WeightedKind::age_weighted`].
+fn build_weighted_switch(cfg: &SimConfig, kind: WeightedKind) -> IqSwitch {
+    #[cfg(all(feature = "check-invariants", debug_assertions))]
+    let scheduler = kind.build_checked(cfg.n);
+    #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
+    let scheduler = kind.build(cfg.n);
+    let source = if kind.age_weighted() {
+        WeightSource::HolAge
+    } else {
+        WeightSource::QueueLength
+    };
+    IqSwitch::new_weighted(cfg.n, scheduler, source, cfg.voq_cap, cfg.pq_cap)
 }
 
 pub(crate) fn build_traffic(cfg: &SimConfig) -> Box<dyn Traffic> {
@@ -143,69 +165,60 @@ pub(crate) fn build_traffic(cfg: &SimConfig) -> Box<dyn Traffic> {
 /// # Panics
 /// Panics if the configuration fails [`SimConfig::validate`].
 pub fn run_sim(cfg: &SimConfig) -> SimReport {
-    let (report, _) = run_sim_with_stats(cfg);
-    report
+    run_model(cfg, None).0
 }
 
 /// Like [`run_sim`] but also returns the raw [`SimStats`] collector (needed
 /// by the fairness experiment, which inspects per-pair service counts).
 pub fn run_sim_with_stats(cfg: &SimConfig) -> (SimReport, SimStats) {
-    // lint:allow(no-panic): documented precondition (# Panics above); try_sweep contains it
+    let (report, stats, _) = run_model(cfg, None);
+    (report, stats)
+}
+
+/// Like [`run_sim`], but collects telemetry over the **measurement window**:
+/// scheduler decision events and slot-loop metrics go into a
+/// [`SwitchTelemetry`](crate::switch::SwitchTelemetry) capped at
+/// `trace_capacity` events (0 = unbounded).
+///
+/// Tracing is enabled only after warm-up, so the trace describes exactly
+/// the slots the report's statistics do. The report itself is identical to
+/// the untraced one — telemetry is read-only by contract (see
+/// `tests/telemetry_equiv.rs`).
+///
+/// The output-buffered model has no scheduler to trace; it returns its
+/// report with an empty telemetry object. Weighted schedulers record no
+/// decision events, only the slot-loop metrics.
+///
+/// # Panics
+/// Panics if the configuration fails [`SimConfig::validate`].
+pub fn run_sim_traced(
+    cfg: &SimConfig,
+    trace_capacity: usize,
+) -> (SimReport, Box<crate::switch::SwitchTelemetry>) {
+    let (report, _, mut model) = run_model(cfg, Some(trace_capacity));
+    (report, model.take_telemetry().unwrap_or_default())
+}
+
+/// The body of every `run_sim*` entry point: validate, build the model and
+/// traffic, [`drive`] warm-up and measurement (traced over the measurement
+/// window when `trace_capacity` is set), and report. The model comes back
+/// so a traced run can take its telemetry.
+fn run_model(
+    cfg: &SimConfig,
+    trace_capacity: Option<usize>,
+) -> (SimReport, SimStats, Box<dyn SwitchModel>) {
+    // lint:allow(no-panic): documented precondition (# Panics on the public wrappers); try_sweep contains it
     cfg.validate().expect("invalid simulation config");
     let (mut model, backend) = build_model(cfg);
     let mut traffic = build_traffic(cfg);
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket);
-    let stats = drive(model.as_mut(), traffic.as_mut(), &mut rng, &opts);
-    let report = make_report(cfg.model.name(), cfg, &stats, backend);
-    (report, stats)
-}
-
-/// Builds the weighted-path switch for `kind`: queue-length or
-/// head-of-line-age weights per [`WeightedKind::age_weighted`], with the
-/// scheduler wrapped in a
-/// [`CheckedWeightedScheduler`](lcf_core::check::CheckedWeightedScheduler)
-/// in checked debug builds (validity + weight-bound oracle per slot).
-fn build_weighted_switch(cfg: &SimConfig, kind: WeightedKind) -> IqSwitch {
-    #[cfg(all(feature = "check-invariants", debug_assertions))]
-    let scheduler = kind.build_checked(cfg.n);
-    #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
-    let scheduler = kind.build(cfg.n);
-    let source = if kind.age_weighted() {
-        WeightSource::HolAge
-    } else {
-        WeightSource::QueueLength
+    let opts = DriveOptions {
+        trace_capacity,
+        ..DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket)
     };
-    IqSwitch::new_weighted(cfg.n, scheduler, source, cfg.voq_cap, cfg.pq_cap)
-}
-
-/// Runs one simulation of a *weighted* scheduler. The configuration's
-/// `model` field is ignored — the scheduler comes from `kind` (the
-/// weighted schedulers live outside the Fig. 12 [`ModelKind`] lineup);
-/// every other parameter (ports, load, traffic, seeds, queue capacities)
-/// has identical semantics to [`run_sim`].
-///
-/// # Panics
-/// Panics if the configuration fails [`SimConfig::validate`].
-pub fn run_sim_weighted(cfg: &SimConfig, kind: WeightedKind) -> SimReport {
-    // lint:allow(no-panic): documented precondition (# Panics above)
-    cfg.validate().expect("invalid simulation config");
-    let mut switch = build_weighted_switch(cfg, kind);
-    let mut traffic = build_traffic(cfg);
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket);
-    let stats = drive(&mut switch, traffic.as_mut(), &mut rng, &opts);
-    make_report(
-        kind.name(),
-        cfg,
-        &stats,
-        BackendChoice::NoKernel.to_string(),
-    )
-}
-
-fn make_report(model: &str, cfg: &SimConfig, stats: &SimStats, backend: String) -> SimReport {
-    SimReport {
-        model: model.to_string(),
+    let stats = drive(model.as_mut(), traffic.as_mut(), &mut rng, &opts);
+    let report = SimReport {
+        model: cfg.model.name().to_string(),
         load: cfg.load,
         n: cfg.n,
         slots: cfg.measure_slots,
@@ -220,41 +233,8 @@ fn make_report(model: &str, cfg: &SimConfig, stats: &SimStats, backend: String) 
         jain_index: stats.service().jain_index(),
         seed: cfg.seed,
         backend,
-    }
-}
-
-/// Like [`run_sim`], but collects telemetry over the **measurement window**:
-/// scheduler decision events and slot-loop metrics go into a
-/// [`SwitchTelemetry`](crate::switch::SwitchTelemetry) capped at
-/// `trace_capacity` events (0 = unbounded).
-///
-/// Tracing is enabled only after warm-up, so the trace describes exactly
-/// the slots the report's statistics do. The report itself is identical to
-/// the untraced one — telemetry is read-only by contract (see
-/// `tests/telemetry_equiv.rs`).
-///
-/// The output-buffered model has no scheduler to trace; it returns its
-/// report with an empty telemetry object.
-///
-/// # Panics
-/// Panics if the configuration fails [`SimConfig::validate`].
-pub fn run_sim_traced(
-    cfg: &SimConfig,
-    trace_capacity: usize,
-) -> (SimReport, Box<crate::switch::SwitchTelemetry>) {
-    // lint:allow(no-panic): documented precondition (# Panics above)
-    cfg.validate().expect("invalid simulation config");
-    let (mut model, backend) = build_model(cfg);
-    let mut traffic = build_traffic(cfg);
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket)
-        .traced(trace_capacity);
-    let stats = drive(model.as_mut(), traffic.as_mut(), &mut rng, &opts);
-    let telemetry = model.take_telemetry().unwrap_or_default();
-    (
-        make_report(cfg.model.name(), cfg, &stats, backend),
-        telemetry,
-    )
+    };
+    (report, stats, model)
 }
 
 /// A simulation in a [`try_sweep`] batch that panicked instead of producing
@@ -529,50 +509,18 @@ pub fn replicate_seed(base: u64, index: usize) -> u64 {
 /// Panics if the configuration fails [`SimConfig::validate`], if
 /// `replications == 0`, or if any replicate panics.
 pub fn run_replicated(cfg: &SimConfig, replications: usize) -> ReplicatedReport {
-    run_replicated_with(cfg, replications, cfg.model.name(), &run_sim)
-}
-
-/// [`run_replicated`] for the weighted schedulers: `R` independent copies
-/// of [`run_sim_weighted`] merged into mean / 95% CI estimates, with the
-/// same per-replicate seed derivation and determinism contract. The
-/// configuration's `model` field is ignored (the scheduler comes from
-/// `kind`).
-///
-/// # Panics
-/// Panics if the configuration fails [`SimConfig::validate`], if
-/// `replications == 0`, or if any replicate panics.
-pub fn run_replicated_weighted(
-    cfg: &SimConfig,
-    kind: WeightedKind,
-    replications: usize,
-) -> ReplicatedReport {
-    run_replicated_with(cfg, replications, kind.name(), &|rep_cfg| {
-        run_sim_weighted(rep_cfg, kind)
-    })
-}
-
-/// Shared replication engine: runs `replications` copies of `cfg` through
-/// `run` (seeds from [`replicate_seed`]) on the scoped thread pool and
-/// aggregates the reports under `model`.
-fn run_replicated_with(
-    cfg: &SimConfig,
-    replications: usize,
-    model: &str,
-    run: &(dyn Fn(&SimConfig) -> SimReport + Sync),
-) -> ReplicatedReport {
-    // lint:allow(no-panic): documented preconditions (# Panics on the public wrappers)
+    // lint:allow(no-panic): documented preconditions (# Panics above)
     assert!(replications > 0, "replications must be positive");
-    // lint:allow(no-panic): documented precondition (# Panics on the public wrappers)
+    // lint:allow(no-panic): documented precondition (# Panics above)
     cfg.validate().expect("invalid simulation config");
     let reports: Vec<SimReport> = parallel_indexed(replications, |idx| {
-        let rep_cfg = SimConfig {
+        run_sim(&SimConfig {
             seed: replicate_seed(cfg.seed, idx),
             ..cfg.clone()
-        };
-        run(&rep_cfg)
+        })
     })
     .into_iter()
-    // lint:allow(no-panic): a panicking replicate is unrecoverable (# Panics on the public wrappers)
+    // lint:allow(no-panic): a panicking replicate is unrecoverable (# Panics above)
     .map(|outcome| outcome.unwrap_or_else(|e| panic!("replication panicked: {e}")))
     .collect();
 
@@ -580,7 +528,7 @@ fn run_replicated_with(
         MeanCi::from_samples(&reports.iter().map(f).collect::<Vec<f64>>())
     };
     ReplicatedReport {
-        model: model.to_string(),
+        model: cfg.model.name().to_string(),
         load: cfg.load,
         n: cfg.n,
         replications,
@@ -672,6 +620,37 @@ mod tests {
         }
         // Latency grows with load.
         assert!(reports[0].mean_latency() <= reports[2].mean_latency());
+    }
+
+    #[test]
+    fn sweep_runs_boolean_and_weighted_models_in_input_order() {
+        let configs: Vec<SimConfig> = [
+            (ModelKind::Weighted(WeightedKind::Lqf), 0.8),
+            (ModelKind::Scheduler(SchedulerKind::LcfCentralRr), 0.8),
+            (ModelKind::Weighted(WeightedKind::Ocf), 0.6),
+            (ModelKind::Scheduler(SchedulerKind::MaxWeight), 0.6),
+            (ModelKind::Weighted(WeightedKind::Mwm), 0.6),
+            (ModelKind::Scheduler(SchedulerKind::Islip), 0.9),
+            (ModelKind::Weighted(WeightedKind::NwGreedy), 0.9),
+        ]
+        .into_iter()
+        .map(|(model, load)| SimConfig {
+            warmup_slots: 300,
+            measure_slots: 1_500,
+            ..quick_cfg(model, load)
+        })
+        .collect();
+        let reports = sweep(&configs);
+        assert_eq!(reports.len(), configs.len());
+        for (cfg, rep) in configs.iter().zip(&reports) {
+            assert_eq!(rep.model, cfg.model.name());
+            assert_eq!(
+                *rep,
+                run_sim(cfg),
+                "{}: sweep diverged from run_sim",
+                rep.model
+            );
+        }
     }
 
     #[test]
@@ -925,16 +904,16 @@ mod tests {
     }
 
     #[test]
-    fn run_sim_weighted_covers_every_kind() {
+    fn weighted_models_cover_every_kind() {
         // The weighted path drives every registry kind through the full
         // slot loop — in debug builds this also exercises the
         // CheckedWeightedScheduler (validity + weight-bound oracle) and
         // the slot-loop weighted invariant check on every slot.
         for kind in WeightedKind::ALL {
-            let mut cfg = quick_cfg(ModelKind::Scheduler(SchedulerKind::LcfCentral), 0.7);
+            let mut cfg = quick_cfg(ModelKind::Weighted(kind), 0.7);
             cfg.measure_slots = 2_000;
             cfg.warmup_slots = 500;
-            let r = run_sim_weighted(&cfg, kind);
+            let r = run_sim(&cfg);
             assert_eq!(r.model, kind.name());
             assert_eq!(r.n, 8);
             assert!(r.delivered > 0, "{kind}");
@@ -944,14 +923,14 @@ mod tests {
     }
 
     #[test]
-    fn run_sim_weighted_is_deterministic() {
-        let mut cfg = quick_cfg(ModelKind::Scheduler(SchedulerKind::LcfCentral), 0.8);
+    fn weighted_model_is_deterministic() {
+        let mut cfg = quick_cfg(ModelKind::Weighted(WeightedKind::Mwm), 0.8);
         cfg.measure_slots = 2_000;
-        let a = run_sim_weighted(&cfg, WeightedKind::Mwm);
-        let b = run_sim_weighted(&cfg, WeightedKind::Mwm);
+        let a = run_sim(&cfg);
+        let b = run_sim(&cfg);
         assert_eq!(a, b, "same seed must reproduce bit-identically");
         cfg.seed += 1;
-        let c = run_sim_weighted(&cfg, WeightedKind::Mwm);
+        let c = run_sim(&cfg);
         assert_ne!(
             (a.delivered, a.mean_latency_slots),
             (c.delivered, c.mean_latency_slots)
@@ -959,22 +938,22 @@ mod tests {
     }
 
     #[test]
-    fn run_replicated_weighted_is_deterministic_and_anchored() {
-        let mut cfg = quick_cfg(ModelKind::Scheduler(SchedulerKind::LcfCentral), 0.7);
+    fn weighted_replication_is_deterministic_and_anchored() {
+        let mut cfg = quick_cfg(ModelKind::Weighted(WeightedKind::NwGreedy), 0.7);
         cfg.measure_slots = 1_500;
         cfg.warmup_slots = 300;
         cfg.traffic = TrafficKind::FastBernoulli;
-        let a = run_replicated_weighted(&cfg, WeightedKind::NwGreedy, 3);
-        let b = run_replicated_weighted(&cfg, WeightedKind::NwGreedy, 3);
+        let a = run_replicated(&cfg, 3);
+        let b = run_replicated(&cfg, 3);
         assert_eq!(a, b, "same (seed, R) must reproduce bit-identically");
         assert_eq!(a.model, "nwgreedy");
         assert_eq!(
             a.reports[0],
-            run_sim_weighted(&cfg, WeightedKind::NwGreedy),
+            run_sim(&cfg),
             "replicate 0 runs the base seed"
         );
         // Growing R appends replicates without disturbing earlier ones.
-        let c = run_replicated_weighted(&cfg, WeightedKind::NwGreedy, 5);
+        let c = run_replicated(&cfg, 5);
         assert_eq!(&c.reports[..3], &a.reports[..]);
     }
 

@@ -437,7 +437,9 @@ fn run_shard(cfg: &ServeConfig, shard: usize, barrier: &Barrier, tx: &mpsc::Send
                     let kind = match live_cfg.model {
                         ModelKind::Scheduler(kind) => kind,
                         // lint:allow(no-panic): ServeConfig::validate rejects backend swaps on non-scheduler models
-                        ModelKind::OutputBuffered => unreachable!("validated backend swap"),
+                        ModelKind::OutputBuffered | ModelKind::Weighted(_) => {
+                            unreachable!("validated backend swap")
+                        }
                     };
                     let (scheduler, _) = build_scheduler(&live_cfg, kind);
                     session
@@ -546,6 +548,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, String> {
 mod tests {
     use super::*;
     use crate::config::TrafficKind;
+    use lcf_core::registry::WeightedKind;
 
     fn quick_serve_cfg() -> ServeConfig {
         let base = SimConfig {
@@ -611,6 +614,13 @@ mod tests {
         cfg.script = ControlScript::parse("at 1 scheduler islip").unwrap();
         cfg.base.model = ModelKind::OutputBuffered;
         assert!(cfg.validate().unwrap_err().contains("VOQ scheduler"));
+        cfg.script = ControlScript::parse("at 1 backend scalar").unwrap();
+        cfg.base.model = ModelKind::Weighted(WeightedKind::Lqf);
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("VOQ scheduler") && err.contains("'lqf'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! [`drive`](crate::model::drive) protocol is a thin wrapper — warm-up
 //! window, fresh measurement collector, measurement window — so batch runs
 //! and long-lived [`serve`](crate::serve) shards share **the same stepping
-//! loop** (the only one left in the workspace):
+//! loop**. Every runner and experiment binary steps through it; the slot
+//! loops left outside it time or test a model's `step` directly
+//! (`bench_guard`'s heavy-slot timer, the criterion benches,
+//! `examples/profile_heavy.rs`, unit, property and integration tests):
 //!
 //! ```text
 //!   drive(model, traffic, rng, opts)        lcf serve shard i
@@ -202,8 +205,8 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
     }
 
     /// Advances the session by `n_slots` slots — THE stepping loop: every
-    /// runner entry point, test harness and serve shard funnels through
-    /// here. Returns the window's delta report.
+    /// runner entry point, experiment binary and serve shard funnels
+    /// through here. Returns the window's delta report.
     ///
     /// Hot-path memory contract: no per-slot allocation (the occupancy
     /// branch is hoisted out of the slot loop; the per-window report is

@@ -125,7 +125,8 @@ fn weighted_runner_is_reachable_from_the_facade() {
     cfg.warmup_slots = 200;
     cfg.measure_slots = 2_000;
     for kind in WeightedKind::ALL {
-        let report = lcf_switch::sim::runner::run_sim_weighted(&cfg, kind);
+        cfg.model = ModelKind::Weighted(kind);
+        let report = lcf_switch::sim::runner::run_sim(&cfg);
         assert_eq!(report.model, kind.name());
         assert!(report.throughput > 0.0, "{kind}: no packets delivered");
     }
