@@ -176,7 +176,10 @@ impl VoqSet {
     }
 
     /// Attempts to enqueue a packet into the VOQ of its destination.
-    #[inline]
+    // Always inlined: the slot loop pushes from two sites (direct arrivals
+    // and the PQ spill), and with two callers the compiler kept it out of
+    // line, which cost `heavy_n32` about 3 % of its window time.
+    #[inline(always)]
     #[must_use = "a false return means the packet was dropped"]
     pub fn push(&mut self, p: Packet) -> bool {
         let dst = p.dst_idx();

@@ -6,7 +6,10 @@
 
 pub use lcf_telemetry::hist::{CdfPoint, Histogram, Quantile, RangeMismatch};
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
+/// Streaming mean/variance accumulator (Welford's algorithm), for a
+/// handful of floating-point samples such as replication means.
+/// [`SimStats`] keeps its per-packet latency moments as integer sums
+/// instead.
 #[derive(Clone, Debug, Default)]
 pub struct Welford {
     count: u64,
@@ -179,10 +182,12 @@ pub struct SimStats {
     pub dropped_queue: u64,
     /// Packets transmitted on an output link.
     pub delivered: u64,
-    latency: Welford,
-    // Exact sum of the recorded delays, next to the Welford mean: window
-    // means are differences of this sum, which floating point cannot give.
+    // Latency moments as exact integer sums: a delivery adds without a
+    // float divide, window means are differences of the sums, and the mean
+    // and std-dev are derived only when read.
+    latency_count: u64,
     latency_sum: u64,
+    latency_sq_sum: u128,
     histogram: Histogram,
     service: ServiceMatrix,
 }
@@ -197,8 +202,9 @@ impl SimStats {
             dropped_pq: 0,
             dropped_queue: 0,
             delivered: 0,
-            latency: Welford::new(),
+            latency_count: 0,
             latency_sum: 0,
+            latency_sq_sum: 0,
             histogram: Histogram::new(max_latency_bucket),
             service: ServiceMatrix::new(n),
         }
@@ -225,25 +231,42 @@ impl SimStats {
         self.service.record(p.src_idx(), p.dst_idx());
         if p.generated_at >= self.measure_start {
             let d = p.delay_at(slot);
-            self.latency.add(d as f64);
+            self.latency_count += 1;
             self.latency_sum += d;
+            self.latency_sq_sum += u128::from(d) * u128::from(d);
             self.histogram.add(d);
         }
     }
 
-    /// Mean queueing delay in slots over measured packets.
+    /// Mean queueing delay in slots over measured packets (0 if none).
     pub fn mean_latency(&self) -> f64 {
-        self.latency.mean()
+        if self.latency_count == 0 {
+            0.0
+        } else {
+            self.latency_sum as f64 / self.latency_count as f64
+        }
     }
 
-    /// Standard deviation of the queueing delay.
+    /// Sample standard deviation of the queueing delay (0 for fewer than
+    /// two samples).
     pub fn latency_std_dev(&self) -> f64 {
-        self.latency.std_dev()
+        let count = self.latency_count;
+        if count < 2 {
+            return 0.0;
+        }
+        // Σ(d − mean)² = Σd² − (Σd)²/count. With Σd = q·count + r that is
+        // the integer Σd² − q²·count − 2·q·r less the fraction r²/count:
+        // every term fits in u128 and the large ones cancel exactly.
+        let (c, sum) = (u128::from(count), u128::from(self.latency_sum));
+        let (q, r) = (sum / c, sum % c);
+        let whole = self.latency_sq_sum - q * q * c - 2 * q * r;
+        let m2 = whole as f64 - (r * r) as f64 / count as f64;
+        (m2.max(0.0) / (count - 1) as f64).sqrt()
     }
 
     /// Number of latency samples.
     pub fn latency_samples(&self) -> u64 {
-        self.latency.count()
+        self.latency_count
     }
 
     /// Exact sum of the queueing delays of all latency samples, in slots.
@@ -322,6 +345,74 @@ mod tests {
         w.add(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.variance(), 0.0);
+    }
+
+    /// Feeds `delays` to a fresh collector and checks its mean and sample
+    /// std-dev against a two-pass f64 reference. The reference works on
+    /// the delays less their minimum (an exact integer shift), so that its
+    /// own rounding stays far below the tolerance even near 2^40.
+    fn assert_moments_match_two_pass(delays: &[u64]) {
+        use crate::packet::Packet;
+        let mut st = SimStats::new(2, 0, 64);
+        for &d in delays {
+            st.on_delivered(&Packet::new(0, 1, 7), 7 + d);
+        }
+        let n = delays.len() as f64;
+        let min = delays.iter().copied().min().unwrap_or(0);
+        let shifted: Vec<f64> = delays.iter().map(|&d| (d - min) as f64).collect();
+        let (mean, std_dev) = match delays.len() {
+            0 => (0.0, 0.0),
+            1 => (delays[0] as f64, 0.0),
+            _ => {
+                let mean = shifted.iter().sum::<f64>() / n;
+                let m2: f64 = shifted.iter().map(|&d| (d - mean).powi(2)).sum();
+                (min as f64 + mean, (m2 / (n - 1.0)).sqrt())
+            }
+        };
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs().max(1.0);
+        assert_eq!(st.latency_samples(), delays.len() as u64);
+        assert_eq!(st.latency_sum(), delays.iter().sum::<u64>());
+        assert!(
+            close(st.mean_latency(), mean),
+            "{delays:?}: mean {} vs {mean}",
+            st.mean_latency()
+        );
+        assert!(
+            close(st.latency_std_dev(), std_dev),
+            "{delays:?}: std-dev {} vs {std_dev}",
+            st.latency_std_dev()
+        );
+    }
+
+    #[test]
+    fn latency_moments_from_integer_sums() {
+        assert_moments_match_two_pass(&[]);
+        assert_moments_match_two_pass(&[5]);
+        assert_moments_match_two_pass(&[0, 3]);
+        assert_moments_match_two_pass(&[2, 4, 4, 4, 5, 5, 7, 9]);
+        // Skewed: mostly zero delay, a long tail.
+        let mut skewed = vec![0u64; 97];
+        skewed.extend([1, 40, 9_000]);
+        assert_moments_match_two_pass(&skewed);
+        assert_moments_match_two_pass(&[6, 6, 6, 6]);
+    }
+
+    #[test]
+    fn latency_moments_near_two_to_the_forty() {
+        // Squares near 2^80 overflow u64; the u128 sum of squares holds
+        // them, and the exact cancellation keeps a spread of a few slots
+        // visible on top of a 2^40 offset.
+        let base = 1u64 << 40;
+        let delays = [base, base + 1, base + 2, base + 7, base - 3];
+        assert_moments_match_two_pass(&delays);
+        use crate::packet::Packet;
+        let mut st = SimStats::new(2, 0, 64);
+        for d in delays {
+            st.on_delivered(&Packet::new(0, 1, 0), d);
+        }
+        let squares: u128 = delays.iter().map(|&d| u128::from(d) * u128::from(d)).sum();
+        assert_eq!(st.latency_sq_sum, squares);
+        assert!(squares > u128::from(u64::MAX));
     }
 
     // Histogram behavior proper is tested in lcf-telemetry (unit tests and

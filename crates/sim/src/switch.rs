@@ -380,16 +380,34 @@ impl IqSwitch {
             t.clock.seek(slot);
         }
 
-        // 1. Arrivals into the PQs, taken as one per-slot batch from the
-        //    generator (one virtual call instead of n).
+        // 1. Arrivals, taken as one per-slot batch from the generator (one
+        //    virtual call instead of n). With VOQs, an arrival whose PQ is
+        //    empty and whose VOQ has room goes straight into the VOQ: the
+        //    spill below would move it there this slot anyway, and an input
+        //    gets at most one arrival per slot, so order, drops and request
+        //    bits are those of the PQ path. Every other arrival joins its
+        //    PQ.
         traffic.arrivals_into(slot, rng, &mut self.arrivals);
+        let mut voqs = match &mut self.inputs {
+            InputQueues::Voq(v) => Some(v),
+            InputQueues::Fifo(_) => None,
+        };
         let mut generated: u64 = 0;
         let mut dropped: u64 = 0;
         for (input, dst) in self.arrivals.iter().enumerate() {
             let Some(dst) = *dst else { continue };
             generated += 1;
             stats.on_generated();
-            if !self.pqs[input].push(Packet::new(input, dst, slot)) {
+            let p = Packet::new(input, dst, slot);
+            if let Some(set) = voqs.as_mut().map(|v| &mut v[input]) {
+                if self.pqs[input].is_empty() && set.push(p) {
+                    if set.len_for(dst) == 1 {
+                        self.requests.set(input, dst, true);
+                    }
+                    continue;
+                }
+            }
+            if !self.pqs[input].push(p) {
                 dropped += 1;
                 stats.on_drop_pq();
                 if let Some(t) = tel.as_deref_mut() {
@@ -416,8 +434,9 @@ impl IqSwitch {
         // 2. Spill PQ -> input buffers, head-first while space permits. The
         //    queue-mode match is hoisted out of the loop, and inputs with an
         //    empty PQ skip the scan entirely. The request matrix changes
-        //    only here and at the dequeue below: a VOQ that turns non-empty
-        //    (or a FIFO that gains a head) sets its request bit.
+        //    only here, at the direct VOQ arrivals above and at the dequeue
+        //    below: a VOQ that turns non-empty (or a FIFO that gains a head)
+        //    sets its request bit.
         let requests = &mut self.requests;
         match &mut self.inputs {
             InputQueues::Voq(v) => {

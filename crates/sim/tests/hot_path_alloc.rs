@@ -124,6 +124,34 @@ fn iq_switch_step_is_allocation_free_once_saturated() {
     }
 }
 
+/// An arrival that finds its PQ empty goes straight into its VOQ. After a
+/// saturated phase has grown each slab past any light-load backlog, a
+/// light phase takes that path on most arrivals and must not allocate
+/// either.
+#[test]
+fn iq_switch_direct_voq_arrivals_are_allocation_free() {
+    let (scheduler, _) = SchedulerKind::LcfCentral.build_with_backend(N, 4, 7, Backend::Bitset);
+    let mut sw = IqSwitch::new(N, scheduler, QueueMode::Voq { cap: VOQ_CAP }, PQ_CAP);
+    steady_state_allocations("saturate", 0, |slot, t, rng, stats| {
+        sw.step(slot, t, rng, stats);
+    });
+    let mut light = Bernoulli::new(N, 0.3, DestPattern::Uniform);
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut stats = SimStats::new(N, 0, 256);
+    // Drain the saturated backlog, then measure.
+    for slot in 2_000..4_000 {
+        sw.step(slot, &mut light, &mut rng, &mut stats);
+    }
+    let dropped = stats.dropped();
+    let before = allocations();
+    for slot in 4_000..9_000 {
+        sw.step(slot, &mut light, &mut rng, &mut stats);
+    }
+    let allocs = allocations() - before;
+    assert_eq!(allocs, 0, "IqSwitch::step allocated on direct VOQ arrivals");
+    assert_eq!(stats.dropped(), dropped, "the drained switch drops nothing");
+}
+
 #[test]
 fn cioq_switch_step_is_allocation_free_once_saturated() {
     // Speedup 2 and a 2-slot scheduling pipeline: every pass rewrites the

@@ -38,7 +38,11 @@ fn assert_stats_eq(a: &SimStats, b: &SimStats) {
     assert_eq!(a.delivered, b.delivered);
     assert_eq!(a.dropped(), b.dropped());
     assert_eq!(a.latency_samples(), b.latency_samples());
-    assert_eq!(a.mean_latency(), b.mean_latency(), "bit-equal Welford mean");
+    assert_eq!(
+        a.mean_latency(),
+        b.mean_latency(),
+        "bit-equal mean from the exact latency sums"
+    );
     assert_eq!(a.latency_quantile(0.5), b.latency_quantile(0.5));
     assert_eq!(a.latency_quantile(0.99), b.latency_quantile(0.99));
 }
